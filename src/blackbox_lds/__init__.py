@@ -10,7 +10,6 @@ from .lds import (
     ClippedGaussianDisturbance,
     CostFunction,
     DisturbanceSource,
-    LdcParams,
     LinearSystem,
     PriorBounds,
     ReplayDisturbance,
@@ -52,7 +51,6 @@ from .lowerbound import (
     AdversaryTranscript,
     SubspaceTracker,
     deterministic_adversary,
-    orthogonal_residual,
     randomized_lb_trial,
     sample_gaussian_system,
 )

@@ -309,6 +309,7 @@ def _run_pipeline_experiment(cfg, out_dir):
         "nu": report.recovery.constants.nu,
         "decay_steps": report.decay_steps,
         "gpc_steps": report.gpc_steps,
+        "gpc_projection_active_rounds": report.gpc_result.projection_active_rounds,
         "x_after_sysid_norm": report.x_after_sysid_norm,
         "x_after_decay_norm": report.x_after_decay_norm,
     }

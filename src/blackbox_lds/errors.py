@@ -67,6 +67,11 @@ class NonDeterministicControllerError(BlackBoxControlError):
     """Controller produced different controls on identical histories."""
 
 
+class ConstructionDriftError(BlackBoxControlError):
+    """The deterministic adversary's coefficient recursion and the measured
+    state disagree beyond the rounding tolerance."""
+
+
 class ConfigError(BlackBoxControlError):
     """Invalid experiment configuration; carries the offending field path."""
 

@@ -226,25 +226,6 @@ def cost_at(costs: CostSpec, t: int) -> CostFunction:
 
 
 @dataclass(frozen=True)
-class LdcParams:
-    """Linear dynamic controller (A_pi, B_pi, C_pi, D_pi) with internal state
-    s_{t+1} = A_pi s_t + B_pi x_t and output u_t = C_pi s_t + D_pi x_t.
-
-    Representational only: documents the richer comparator class that
-    disturbance-action controllers approximate. Never executed here.
-    """
-
-    A_pi: np.ndarray
-    B_pi: np.ndarray
-    C_pi: np.ndarray
-    D_pi: np.ndarray
-
-    @property
-    def d_pi(self) -> int:
-        return np.atleast_2d(np.asarray(self.A_pi)).shape[0]
-
-
-@dataclass(frozen=True)
 class StabilityCertificate:
     """Witness that K is (kappa, gamma) strongly stable: ||K|| <= kappa,
     A + BK = H L H^{-1} with ||H|| ||H^{-1}|| <= kappa and ||L|| <= 1 - gamma."""

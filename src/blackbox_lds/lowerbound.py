@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import NonDeterministicControllerError
+from .errors import ConstructionDriftError, NonDeterministicControllerError
 
 ControllerFn = Callable[[List[np.ndarray]], np.ndarray]
 ControllerFactory = Callable[[], ControllerFn]
@@ -54,10 +54,6 @@ class SubspaceTracker:
             return False
         self.basis = np.hstack([self.basis, (r / n).reshape(-1, 1)])
         return True
-
-
-def orthogonal_residual(tracker: SubspaceTracker, x) -> np.ndarray:
-    return tracker.residual(x)
 
 
 def sample_gaussian_system(d_x: int, gamma: float, seed) -> np.ndarray:
@@ -233,8 +229,9 @@ def deterministic_adversary(controller_factory: ControllerFactory,
                                 h_sq=c_diag[-1] ** 2, doubled=None))
     measured = float(V_rows[d_x - 1] @ x)
     if abs(measured - c_diag[-1]) > 1e-6 * max(1.0, abs(c_diag[-1])):
-        raise AssertionError("construction drifted: recursion and measured "
-                             f"coefficients disagree ({c_diag[-1]} vs {measured})")
+        raise ConstructionDriftError(
+            "construction drifted: recursion and measured coefficients "
+            f"disagree ({c_diag[-1]} vs {measured})")
     # complete the system: Q_{d_x} = 2 V_1, Q = D P V with the cyclic shift P
     Q_rows.append(2.0 * V_rows[0])
     d_signs.append(2.0)

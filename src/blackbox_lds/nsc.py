@@ -6,6 +6,15 @@ the cost of the H-step zero-reset counterfactual trajectory replayed through
 the estimated dynamics. States are affine in M, so the surrogate is convex
 and its gradient is exact chain rule through the unrolled recursion.
 
+For fixed estimates (A~, B~) and gain K the operators of that recursion are
+constant: with Acl = A~ + B~K the terminal counterfactual state is
+sum_s Acl^{H-1-s} (B~ o_s + w_{s+H}), where o_s is the DAC offset at step s.
+The online loop builds the powers Acl^j and Acl^j B~ once per run, so each
+gradient is a handful of einsums with no loop over the horizon;
+surrogate_cost keeps the step-by-step rollout as the reference. The loop
+keeps the last 2H disturbance estimates in a mirrored ring buffer of 4H rows
+(see gpc_run), and projects all H blocks with one batched SVD.
+
 The offline comparator (best DAC in hindsight) minimizes the true
 counterfactual cost over the same constraint set by projected gradient
 descent with backtracking.
@@ -22,6 +31,11 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .lds import CostFunction, CostSpec, LinearSystem, cost_at
 from .plant import BlackBoxPlant
+
+
+def _block_norms(M) -> np.ndarray:
+    """Spectral norm of every block of an (H, d_u, d_x) stack (one batched SVD)."""
+    return np.linalg.svd(M, compute_uv=False).max(axis=-1)
 
 
 @dataclass
@@ -46,24 +60,28 @@ class DacParams:
         return kappa**4 * (1.0 - gamma) ** i
 
     def max_violation(self, kappa: float, gamma: float) -> float:
-        bounds = self.block_bounds(kappa, gamma)
-        norms = np.array([np.linalg.norm(self.M[i], 2) for i in range(self.H)])
-        return float(np.max(norms - bounds))
+        return float(np.max(_block_norms(self.M) - self.block_bounds(kappa, gamma)))
+
+
+def _project_blocks(M, bounds):
+    """Clip the singular values of each block M[i] at bounds[i].
+
+    Returns (projected copy, mask of the clipped blocks, spectral norms of
+    the input blocks). Only the blocks over their bound get a full SVD.
+    """
+    norms = _block_norms(M)
+    over = norms > bounds
+    out = M.copy()
+    if over.any():
+        U, s, Vt = np.linalg.svd(M[over], full_matrices=False)
+        out[over] = (U * np.minimum(s, bounds[over, None])[:, None, :]) @ Vt
+    return out, over, norms
 
 
 def project_M(params: DacParams, kappa: float, gamma: float) -> DacParams:
     """Per-block spectral projection: clip singular values at
     b_i = kappa^4 (1-gamma)^i (exact Frobenius projection onto the ball)."""
-    bounds = params.block_bounds(kappa, gamma)
-    out = np.empty_like(params.M)
-    for i in range(params.H):
-        block = params.M[i]
-        bound = bounds[i]
-        if np.linalg.norm(block, 2) <= bound:
-            out[i] = block
-            continue
-        U, s, Vt = np.linalg.svd(block, full_matrices=False)
-        out[i] = (U * np.minimum(s, bound)) @ Vt
+    out, _, _ = _project_blocks(params.M, params.block_bounds(kappa, gamma))
     return DacParams(M=out)
 
 
@@ -99,61 +117,76 @@ def estimate_disturbance(A_est, B_est, x_t, u_t, x_next) -> np.ndarray:
     return np.asarray(x_next, dtype=float) - drift
 
 
-def _window_stack(w_window, H):
-    """stack[s] = [w_window[s+H-1], ..., w_window[s]] for s = 0..H: the
-    descending disturbance windows feeding the controls of the H-step
-    counterfactual (stack[H] feeds the terminal control)."""
-    from numpy.lib.stride_tricks import sliding_window_view
-    d_x = w_window.shape[1]
-    asc = sliding_window_view(w_window, (H, d_x)).reshape(H + 1, H, d_x)
-    return asc[:, ::-1, :]
-
-
-def _surrogate_forward(M, A_est, B_est, K, w_window):
-    """Zero-reset counterfactual over the last H steps.
-
-    w_window has 2H rows, oldest first: w_window[j] = w_hat_{t-2H+j}.
-    Returns intermediate states plus the terminal control for the backward pass.
-    """
-    H = M.shape[0]
-    d_x = A_est.shape[0]
-    stack = _window_stack(w_window, H)
-    offsets = np.einsum("hux,shx->su", M, stack)
-    ys = np.zeros((H + 1, d_x))
-    for s in range(H):
-        u = K @ ys[s] + offsets[s]
-        ys[s + 1] = A_est @ ys[s] + B_est @ u + w_window[s + H]
-    u_final = K @ ys[H] + offsets[H]
-    return ys, u_final, stack
-
-
 def surrogate_cost(params: DacParams, A_est, B_est, K, w_window,
                    cost_fn: CostFunction) -> float:
     """f_t(M): cost of the H-step counterfactual rolled from the zero state
-    through the estimated dynamics under the recorded disturbance estimates."""
+    through the estimated dynamics under the recorded disturbance estimates.
+
+    w_window has 2H rows, oldest first: w_window[j] = w_hat_{t-2H+j}. This is
+    the plain step-by-step rollout, the reference for surrogate_gradient.
+    """
+    H = params.H
     A_est, B_est, K, w_window = _normalize_surrogate_args(A_est, B_est, K,
-                                                          w_window, params.H)
-    ys, u_final, _ = _surrogate_forward(params.M, A_est, B_est, K, w_window)
-    return float(cost_fn.value(ys[-1], u_final))
+                                                          w_window, H)
+
+    def control(s, y):  # DAC control at counterfactual step s
+        return K @ y + sum(params.M[h] @ w_window[s + H - 1 - h]
+                           for h in range(H))
+
+    y = np.zeros(A_est.shape[0])
+    for s in range(H):
+        y = A_est @ y + B_est @ control(s, y) + w_window[s + H]
+    return float(cost_fn.value(y, control(H, y)))
+
+
+def _surrogate_operators(A_est, B_est, K, H):
+    """The surrogate's constant operators for fixed (A~, B~, K).
+
+    Returns (P, PB, gather): P[s] = (A~ + B~K)^{H-1-s}, PB[s] = P[s] B~, and
+    the index for which w_window[gather][s] = [w_{s+H-1}, ..., w_s] is the
+    descending window feeding the control at counterfactual step s.
+    """
+    Acl = A_est + B_est @ K
+    P = np.empty((H, A_est.shape[0], A_est.shape[0]))
+    P[H - 1] = np.eye(A_est.shape[0])
+    for s in range(H - 2, -1, -1):
+        P[s] = Acl @ P[s + 1]
+    gather = np.arange(H + 1)[:, None] + np.arange(H - 1, -1, -1)[None, :]
+    return P, P @ B_est, gather
+
+
+def _surrogate_grad(M, operators, K, w_window, cost_fn):
+    """Gradient of surrogate_cost through the precomputed operators.
+
+    With o_s the DAC offset at counterfactual step s, the terminal state is
+    y = sum_s P[s] w_window[s+H] + PB[s] o_s, so the cost's sensitivity to
+    o_s is PB[s]' lam for s < H, where lam = dc/dy + K' dc/du, and dc/du for
+    the terminal offset o_H. The chain rule through o_s = sum_h M^h
+    w_window[s+H-1-h] gives the gradient in M.
+    """
+    P, PB, gather = operators
+    H = M.shape[0]
+    stack = w_window[gather]  # (H+1, H, d_x)
+    offsets = np.einsum("hux,shx->su", M, stack)
+    y = np.einsum("sxy,sy->x", P, w_window[H:]) \
+        + np.einsum("sxu,su->x", PB, offsets[:H])
+    gx, gu = cost_fn.gradient(y, K @ y + offsets[H])
+    gu = np.asarray(gu, dtype=float)
+    lam = np.asarray(gx, dtype=float) + K.T @ gu
+    g_offsets = np.empty_like(offsets)
+    g_offsets[:H] = np.einsum("sxu,x->su", PB, lam)
+    g_offsets[H] = gu
+    return np.einsum("su,shx->hux", g_offsets, stack)
 
 
 def surrogate_gradient(params: DacParams, A_est, B_est, K, w_window,
                        cost_fn: CostFunction) -> np.ndarray:
-    """Exact gradient of surrogate_cost in the shape of M, by reverse
-    accumulation through the affine rollout."""
+    """Exact gradient of surrogate_cost in the shape of M: the adjoint of
+    the affine rollout, through the operators of _surrogate_operators."""
     A_est, B_est, K, w_window = _normalize_surrogate_args(A_est, B_est, K,
                                                           w_window, params.H)
-    M = params.M
-    H = M.shape[0]
-    ys, u_final, stack = _surrogate_forward(M, A_est, B_est, K, w_window)
-    gx, gu = cost_fn.gradient(ys[-1], u_final)
-    g_u_all = np.empty((H + 1, M.shape[1]))
-    g_u_all[H] = np.asarray(gu, dtype=float)
-    g_y = np.asarray(gx, dtype=float) + K.T @ g_u_all[H]  # d f / d y_t
-    for s in range(H - 1, -1, -1):
-        g_u_all[s] = B_est.T @ g_y
-        g_y = A_est.T @ g_y + K.T @ g_u_all[s]
-    return np.einsum("su,shx->hux", g_u_all, stack)
+    operators = _surrogate_operators(A_est, B_est, K, params.H)
+    return _surrogate_grad(params.M, operators, K, w_window, cost_fn)
 
 
 def _normalize_surrogate_args(A_est, B_est, K, w_window, H):
@@ -170,26 +203,13 @@ def _normalize_surrogate_args(A_est, B_est, K, w_window, H):
 
 
 @dataclass
-class GpcState:
-    """Mutable learner state for one online run."""
-
-    params: DacParams
-    w_buffer: np.ndarray  # (2H, d_x), most recent last; zero padded at start
-    A_est: np.ndarray
-    B_est: np.ndarray
-    K: np.ndarray
-    eta: float
-    kappa: float
-    gamma: float
-
-
-@dataclass
 class GpcResult:
     params: DacParams
     steps: int
     total_cost: float
     max_constraint_violation: float
     param_history: Optional[list] = None
+    projection_active_rounds: int = 0  # rounds whose projection clipped a block
 
 
 def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
@@ -198,10 +218,15 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     """Online loop: play the DAC, observe, estimate the disturbance, take a
     projected gradient step on the surrogate loss.
 
-    The buffer is initialized with the current plant state in the most recent
-    slot (the state left over from earlier phases enters as the first
-    "disturbance") and zeros before that. W is the disturbance-magnitude
-    bound the step size was derived from; it is recorded but not consulted.
+    The last 2H disturbance estimates live in a ring of 4H rows: the estimate
+    of slot p is written at rows p and p + 2H, so ring[p+1 : p+1+2H] is the
+    time-ordered window (oldest first, newest last) as a view, where p is
+    the slot written last. The window starts as the current plant state in
+    the newest slot (the state left over from earlier phases enters as the
+    first "disturbance") and zeros before it. The surrogate's operators are
+    built once from (A_est, B_est, K), which stay fixed for the run. W is the
+    disturbance-magnitude bound the step size was derived from; it is
+    recorded but not consulted.
     """
     if H < 1 or T < 0:
         raise ValueError("H must be >= 1 and T >= 0")
@@ -213,33 +238,40 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     if B_est.ndim == 1:
         B_est = B_est.reshape(-1, 1)
     d_x, d_u = A_est.shape[0], B_est.shape[1]
-    state = GpcState(
-        params=project_M(DacParams.zeros(H, d_u, d_x), kappa_star, gamma_tilde),
-        w_buffer=np.zeros((2 * H, d_x)),
-        A_est=A_est, B_est=B_est, K=K, eta=eta,
-        kappa=kappa_star, gamma=gamma_tilde)
-    state.w_buffer[-1] = plant.state
+    params = project_M(DacParams.zeros(H, d_u, d_x), kappa_star, gamma_tilde)
+    bounds = params.block_bounds(kappa_star, gamma_tilde)
+    violation = params.max_violation(kappa_star, gamma_tilde)
+    operators = _surrogate_operators(A_est, B_est, K, H)
+    ring = np.zeros((4 * H, d_x))
+    p = 2 * H - 1
+    ring[p] = ring[p + 2 * H] = plant.state
     total = 0.0
     max_viol = -math.inf
+    active = 0
     history = [] if record_params else None
     for _ in range(T):
+        window = ring[p + 1:p + 1 + 2 * H]
         x = plant.state
-        u = dac_control(K, state.params, x, state.w_buffer)
+        u = dac_control(K, params, x, window)
         outcome = plant.apply(u, phase="gpc")
         total += outcome.cost
         w_hat = estimate_disturbance(A_est, B_est, x, u, outcome.x_next)
         if eta > 0.0:
-            g = surrogate_gradient(state.params, A_est, B_est, K,
-                                   state.w_buffer, outcome.cost_fn)
-            state.params = project_M(DacParams(M=state.params.M - eta * g),
-                                     kappa_star, gamma_tilde)
-        max_viol = max(max_viol, state.params.max_violation(kappa_star, gamma_tilde))
+            g = _surrogate_grad(params.M, operators, K, window, outcome.cost_fn)
+            M, over, norms = _project_blocks(params.M - eta * g, bounds)
+            if over.any():
+                active += 1
+                norms[over] = _block_norms(M[over])
+            params = DacParams(M=M)
+            violation = float(np.max(norms - bounds))
+        max_viol = max(max_viol, violation)
         if record_params:
-            history.append(state.params.M.copy())
-        state.w_buffer = np.vstack([state.w_buffer[1:], w_hat])
-    return GpcResult(params=state.params, steps=T, total_cost=total,
+            history.append(params.M.copy())
+        p = (p + 1) % (2 * H)
+        ring[p] = ring[p + 2 * H] = w_hat
+    return GpcResult(params=params, steps=T, total_cost=total,
                      max_constraint_violation=(max_viol if T else 0.0),
-                     param_history=history)
+                     param_history=history, projection_active_rounds=active)
 
 
 # -- offline comparator ------------------------------------------------------

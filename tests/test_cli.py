@@ -44,6 +44,7 @@ class TestPipelineCommand:
         assert summary["constants_provenance"]["eps"] == "override"
         # summary cumulative cost equals the CSV's final cumulative cost
         assert float(rows[-1]["cumulative_cost"]) == summary["cumulative_cost"]
+        assert 0 <= summary["gpc_projection_active_rounds"] <= summary["gpc_steps"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path, "cfg.json", PIPELINE_CFG)
@@ -155,6 +156,20 @@ class TestLowerboundCommands:
         summary = json.loads(_read(out / "summary.json"))
         assert summary["final_state_norm"] >= 512.0
         assert summary["system_spectral_norm"] <= 2.0 + 1e-12
+
+    def test_construction_drift_is_a_runtime_error(self, tmp_path, capsys):
+        # the frozen_random d_x = 200 construction may drift past the 1e-6
+        # consistency check; the CLI then reports a runtime error object
+        cfg = _write_config(tmp_path, "cfg.json",
+                            {"experiment": "lowerbound-det", "d_x": 200,
+                             "controller": "frozen_random"})
+        code = main(["lowerbound-det", "--config", cfg, "--out",
+                     str(tmp_path / "o")])
+        assert code in (0, 1)
+        if code == 1:
+            err = json.loads(capsys.readouterr().out)
+            assert err["error"]["kind"] == "runtime"
+            assert "construction drifted" in err["error"]["message"]
 
     def test_randomized_trial_summary(self, tmp_path):
         cfg = _write_config(tmp_path, "cfg.json",

@@ -4,11 +4,13 @@ import pytest
 from blackbox_lds import (
     SubspaceTracker,
     deterministic_adversary,
-    orthogonal_residual,
     randomized_lb_trial,
     sample_gaussian_system,
 )
-from blackbox_lds.errors import NonDeterministicControllerError
+from blackbox_lds.errors import (
+    ConstructionDriftError,
+    NonDeterministicControllerError,
+)
 from blackbox_lds.lowerbound import (
     BUILTIN_CONTROLLERS,
     certainty_equivalent_controller,
@@ -22,17 +24,17 @@ class TestSubspaceTracker:
     def test_residual_against_basis(self):
         tr = SubspaceTracker(2)
         tr.extend([1.0, 0.0])
-        assert np.allclose(orthogonal_residual(tr, [1.0, 2.0]), [0.0, 2.0])
+        assert np.allclose(tr.residual([1.0, 2.0]), [0.0, 2.0])
 
     def test_vector_in_span(self):
         tr = SubspaceTracker(2)
         tr.extend([1.0, 0.0])
-        assert np.allclose(orthogonal_residual(tr, [3.0, 0.0]), 0.0)
+        assert np.allclose(tr.residual([3.0, 0.0]), 0.0)
 
     def test_empty_basis_is_identity(self):
         tr = SubspaceTracker(3)
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(orthogonal_residual(tr, x), x)
+        assert np.array_equal(tr.residual(x), x)
 
     def test_rank_and_orthonormality(self, rng):
         tr = SubspaceTracker(6)
@@ -47,7 +49,7 @@ class TestSubspaceTracker:
         for _ in range(4):
             tr.extend(rng.normal(size=8))
         for _ in range(20):
-            h = orthogonal_residual(tr, rng.normal(size=8))
+            h = tr.residual(rng.normal(size=8))
             assert np.abs(tr.basis.T @ h).max() <= 1e-10
 
     def test_dependent_vector_does_not_grow_rank(self):
@@ -158,3 +160,15 @@ class TestDeterministicAdversary:
         a = deterministic_adversary(frozen_random_controller, 8)
         b = deterministic_adversary(frozen_random_controller, 8)
         assert np.array_equal(a.steps[-1].x, b.steps[-1].x)
+
+    def test_drift_is_a_typed_error(self):
+        # frozen_random at d_x = 200 is the known drifting instance (recursion
+        # and measured coefficient differ by ~2e-6 relative against the 1e-6
+        # check): the harness either completes or reports the drift as a
+        # library error, never as a bare AssertionError
+        try:
+            t = deterministic_adversary(frozen_random_controller, 200)
+        except ConstructionDriftError as exc:
+            assert "construction drifted" in str(exc)
+        else:
+            assert t.final_state_norm >= 2.0 ** 199

@@ -18,9 +18,76 @@ from blackbox_lds import (
     surrogate_cost,
     surrogate_gradient,
 )
-from blackbox_lds.nsc import DacParams, dac_total_cost
+from blackbox_lds.nsc import DacParams, _project_blocks, dac_total_cost
 
 QUAD = CostFunction.quadratic()
+
+
+# -- reference implementations: per-block projection and the step-by-step
+# online loop (history rebuilt by np.vstack, forward rollout and reverse
+# accumulation over the horizon), against which the batched paths are checked
+
+def _ref_project(M, bounds):
+    out = np.empty_like(M)
+    clipped = np.zeros(len(M), dtype=bool)
+    for i in range(len(M)):
+        if np.linalg.norm(M[i], 2) <= bounds[i]:
+            out[i] = M[i]
+            continue
+        U, s, Vt = np.linalg.svd(M[i], full_matrices=False)
+        out[i] = (U * np.minimum(s, bounds[i])) @ Vt
+        clipped[i] = True
+    return out, clipped
+
+
+def _ref_surrogate_gradient(M, A, B, K, w, cost_fn):
+    H = len(M)
+    stack = np.array([[w[s + H - 1 - h] for h in range(H)] for s in range(H + 1)])
+    offsets = np.einsum("hux,shx->su", M, stack)
+    ys = [np.zeros(A.shape[0])]
+    for s in range(H):
+        u = K @ ys[s] + offsets[s]
+        ys.append(A @ ys[s] + B @ u + w[s + H])
+    gx, gu = cost_fn.gradient(ys[H], K @ ys[H] + offsets[H])
+    g_u = np.empty((H + 1, M.shape[1]))
+    g_u[H] = gu
+    g_y = gx + K.T @ gu
+    for s in range(H - 1, -1, -1):
+        g_u[s] = B.T @ g_y
+        g_y = A.T @ g_y + K.T @ g_u[s]
+    return np.einsum("su,shx->hux", g_u, stack)
+
+
+def _ref_gpc_run(plant, K, kappa, gamma, H, eta, T, A, B):
+    bounds = kappa**4 * (1.0 - gamma) ** np.arange(1, H + 1)
+    M = np.zeros((H, B.shape[1], A.shape[0]))
+    buf = np.zeros((2 * H, A.shape[0]))
+    buf[-1] = plant.state
+    total, history, active = 0.0, [], 0
+    for _ in range(T):
+        x = plant.state
+        u = K @ x + np.einsum("hux,hx->u", M, buf[::-1][:H])
+        outcome = plant.apply(u, phase="gpc")
+        total += outcome.cost
+        w_hat = outcome.x_next - (A @ x + B @ u)
+        g = _ref_surrogate_gradient(M, A, B, K, buf, outcome.cost_fn)
+        M, clipped = _ref_project(M - eta * g, bounds)
+        active += bool(clipped.any())
+        history.append(M.copy())
+        buf = np.vstack([buf[1:], w_hat])
+    return total, history, active
+
+
+def _mimo_instance(rng, d_x, d_u):
+    """A stable random plant, a gain, and estimates off by ~1e-2."""
+    A = rng.normal(size=(d_x, d_x))
+    A *= 0.6 / max(abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(d_x, d_u))
+    B /= np.linalg.norm(B, 2)
+    K = 0.1 * rng.normal(size=(d_u, d_x))
+    A_est = A + 1e-2 * rng.normal(size=A.shape)
+    B_est = B + 1e-2 * rng.normal(size=B.shape)
+    return LinearSystem(A, B), K, A_est, B_est
 
 
 class TestDacControl:
@@ -152,6 +219,53 @@ class TestProjectM:
             out = project_M(M, kappa, gamma)
             assert out.max_violation(kappa, gamma) <= 1e-12
 
+    @staticmethod
+    def _check_against_reference(M, bounds):
+        before = M.copy()
+        out, over, norms = _project_blocks(M, bounds)
+        ref, clipped = _ref_project(M, bounds)
+        assert np.array_equal(M, before)  # input untouched
+        assert np.array_equal(over, clipped)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(norms, [np.linalg.norm(b, 2) for b in M])
+        return over
+
+    def test_batched_matches_per_block_reference(self, rng):
+        for _ in range(200):
+            H = int(rng.integers(1, 8))
+            d_u = int(rng.integers(1, 4))
+            d_x = int(rng.integers(1, 5))
+            M = rng.normal(size=(H, d_u, d_x)) * rng.uniform(0.1, 3.0)
+            bounds = rng.uniform(0.2, 2.0, size=H)
+            self._check_against_reference(M, bounds)
+
+    def test_edge_blocks(self):
+        # d_u != d_x; block 0 exactly at its bound, block 1 all zero,
+        # block 2 over its bound
+        M = np.zeros((3, 2, 3))
+        M[0] = [[0.5, 0.0, 0.0], [0.0, 0.1, 0.0]]
+        M[2] = [[0.3, 0.0, 0.4], [0.0, 0.0, 0.0]]
+        bounds = np.array([0.5, 0.25, 0.125])  # kappa = 1, gamma = 0.5
+        over = self._check_against_reference(M, bounds)
+        assert over.tolist() == [False, False, True]
+        out = project_M(DacParams(M), 1.0, 0.5)
+        assert np.array_equal(out.M[:2], M[:2])
+        assert np.linalg.norm(out.M[2], 2) == pytest.approx(0.125, rel=1e-15)
+
+    def test_single_block(self):
+        for value, clipped in ((0.0, False), (0.5, False), (-0.75, True)):
+            M = np.array([[[value]]])
+            over = self._check_against_reference(M, np.array([0.5]))
+            assert over.tolist() == [clipped]
+        assert project_M(DacParams(np.array([[[-0.75]]])), 1.0, 0.5).M[0, 0, 0] == -0.5
+
+    def test_max_violation_matches_per_block_norms(self, rng):
+        for _ in range(20):
+            M = DacParams(rng.normal(size=(4, 2, 3)))
+            bounds = M.block_bounds(1.1, 0.2)
+            expected = max(np.linalg.norm(M.M[i], 2) - bounds[i] for i in range(4))
+            assert M.max_violation(1.1, 0.2) == expected
+
 
 class TestGpcRun:
     def test_zero_noise_fixed_point(self):
@@ -219,6 +333,46 @@ class TestGpcRun:
             w_hat = estimate_disturbance(sys.A, sys.B, r.x, r.u, states[i + 1])
             scale = max(np.abs(states[i + 1]).max(), 1.0)
             assert np.abs(w_hat - r.w).max() <= 4 * np.finfo(float).eps * scale
+
+
+    @pytest.mark.parametrize("H", [1, 2, 7])
+    def test_matches_reference_loop(self, rng, H):
+        # random MIMO plants with model mismatch and bounds tight enough that
+        # the projection is active in some rounds and not in others
+        T = 150
+        checked_active = 0
+        for d_x, d_u in ((3, 2), (2, 3), (2, 2)):
+            sys, K, A_est, B_est = _mimo_instance(rng, d_x, d_u)
+            kappa, gamma, eta = 0.8, 0.3, 0.2
+            x1 = rng.normal(size=d_x)
+
+            def plant():
+                return BlackBoxPlant(sys, SinusoidalDisturbance(d_x, omega=0.3),
+                                     QUAD, x1, seed=0)
+
+            res = gpc_run(plant(), K, kappa, gamma, 1.0, H, eta, T, A_est, B_est,
+                          record_params=True)
+            total, history, active = _ref_gpc_run(plant(), K, kappa, gamma, H,
+                                                  eta, T, A_est, B_est)
+            assert res.total_cost == pytest.approx(total, rel=1e-12, abs=0.0)
+            assert len(res.param_history) == T
+            for M_new, M_ref in zip(res.param_history, history):
+                assert np.linalg.norm(M_new - M_ref) <= 1e-12 * np.linalg.norm(M_ref)
+            assert res.projection_active_rounds == active
+            checked_active += 0 < active < T
+        assert checked_active > 0
+
+    def test_projection_active_rounds_extremes(self):
+        sys = LinearSystem([[0.5]], [[1.0]])
+
+        def run(kappa, eta):
+            plant = BlackBoxPlant(sys, SinusoidalDisturbance(1), QUAD, [0.3])
+            return gpc_run(plant, [[-0.2]], kappa, 0.5, 1.0, 3, eta, 40,
+                           sys.A, sys.B).projection_active_rounds
+
+        assert run(4.0, 0.0) == 0  # no step, nothing to project
+        assert run(100.0, 0.05) == 0  # bounds far beyond any reachable M
+        assert run(0.1, 10.0) == 40  # tiny bounds, huge steps: every round
 
     def test_sublinear_regret_trend(self):
         # scalar benchmark: regret against the best DAC in hindsight grows

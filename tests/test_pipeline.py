@@ -127,6 +127,12 @@ class TestRunPipeline:
         assert phases[-1] == "gpc"
         assert len(phases) == 400
 
+    def test_projection_active_rounds_counted(self):
+        _, _, report = self._benchmark(400)
+        active = report.gpc_result.projection_active_rounds
+        assert isinstance(active, int)
+        assert 0 <= active <= report.gpc_steps
+
     def test_regret_op(self):
         _, _, report = self._benchmark(400)
         assert regret(report) == pytest.approx(
