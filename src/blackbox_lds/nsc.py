@@ -9,11 +9,17 @@ and its gradient is exact chain rule through the unrolled recursion.
 For fixed estimates (A~, B~) and gain K the operators of that recursion are
 constant: with Acl = A~ + B~K the terminal counterfactual state is
 sum_s Acl^{H-1-s} (B~ o_s + w_{s+H}), where o_s is the DAC offset at step s.
-The online loop builds the powers Acl^j and Acl^j B~ once per run, so each
-gradient is a handful of einsums with no loop over the horizon;
-surrogate_cost keeps the step-by-step rollout as the reference. The loop
-keeps the last 2H disturbance estimates in a mirrored ring buffer of 4H rows
-(see gpc_run), and projects all H blocks with one batched SVD.
+The online loop builds the powers Acl^j and Acl^j B~ once per run, laid side
+by side as (d_x, H d_x) and (d_x, H d_u) matrices, so each gradient is a few
+2-D matmuls with no loop over the horizon; surrogate_cost keeps the
+step-by-step rollout as the reference. The loop keeps the last 2H
+disturbance estimates in a mirrored ring buffer of 4H rows (see gpc_run).
+
+The projection onto the spectral-norm ball acts block by block. When
+min(d_u, d_x) = 1 every block is a vector, whose spectral norm is its
+Euclidean norm, and the projection is the rescale b -> (b / ||b||) bound;
+matrix blocks take one batched SVD for the norms and a full SVD of the
+blocks over their bound.
 
 The offline comparator (best DAC in hindsight) minimizes the true
 counterfactual cost over the same constraint set by projected gradient
@@ -34,7 +40,11 @@ from .plant import BlackBoxPlant
 
 
 def _block_norms(M) -> np.ndarray:
-    """Spectral norm of every block of an (H, d_u, d_x) stack (one batched SVD)."""
+    """Spectral norm of every block of an (H, d_u, d_x) stack: the Euclidean
+    norm (an overflow-safe hypot fold) for vector blocks, one batched SVD for
+    matrix blocks."""
+    if min(M.shape[1:]) == 1:
+        return np.hypot.reduce(np.abs(M.reshape(len(M), -1)), axis=1)
     return np.linalg.svd(M, compute_uv=False).max(axis=-1)
 
 
@@ -67,14 +77,20 @@ def _project_blocks(M, bounds):
     """Clip the singular values of each block M[i] at bounds[i].
 
     Returns (projected copy, mask of the clipped blocks, spectral norms of
-    the input blocks). Only the blocks over their bound get a full SVD.
+    the input blocks). A clipped vector block is rescaled to its bound; only
+    matrix blocks over their bound get a full SVD.
     """
     norms = _block_norms(M)
     over = norms > bounds
     out = M.copy()
     if over.any():
-        U, s, Vt = np.linalg.svd(M[over], full_matrices=False)
-        out[over] = (U * np.minimum(s, bounds[over, None])[:, None, :]) @ Vt
+        if min(M.shape[1:]) == 1:  # (b / ||b||) bound on the clipped blocks
+            clip = over[:, None, None]
+            np.divide(M, norms[:, None, None], out=out, where=clip)
+            np.multiply(out, bounds[:, None, None], out=out, where=clip)
+        else:
+            U, s, Vt = np.linalg.svd(M[over], full_matrices=False)
+            out[over] = (U * np.minimum(s, bounds[over, None])[:, None, :]) @ Vt
     return out, over, norms
 
 
@@ -96,9 +112,13 @@ def dac_control(K, params: DacParams, x, w_buffer) -> np.ndarray:
     if len(w_buffer) < H:
         raise DimensionMismatchError("disturbance buffer", (f">= {H}", K.shape[1]),
                                      w_buffer.shape)
-    window_desc = w_buffer[::-1][:H]  # rows w_{t-1}, ..., w_{t-H}
-    return K @ np.asarray(x, dtype=float) + np.einsum(
-        "hux,hx->u", params.M, window_desc)
+    return _dac_control(K, params.M, np.asarray(x, dtype=float), w_buffer)
+
+
+def _dac_control(K, M, x, w_buffer):
+    """dac_control on normalised arrays: M is the (H, d_u, d_x) stack."""
+    window_desc = w_buffer[:-len(M) - 1:-1]  # rows w_{t-1}, ..., w_{t-H}
+    return K @ x + np.einsum("hux,hx->u", M, window_desc)
 
 
 def estimate_disturbance(A_est, B_est, x_t, u_t, x_next) -> np.ndarray:
@@ -112,9 +132,14 @@ def estimate_disturbance(A_est, B_est, x_t, u_t, x_next) -> np.ndarray:
     B_est = np.asarray(B_est, dtype=float)
     if B_est.ndim == 1:
         B_est = B_est.reshape(-1, 1)
-    drift = A_est @ np.asarray(x_t, dtype=float) \
-        + B_est @ np.asarray(u_t, dtype=float)
-    return np.asarray(x_next, dtype=float) - drift
+    return _estimate_disturbance(A_est, B_est, np.asarray(x_t, dtype=float),
+                                 np.asarray(u_t, dtype=float),
+                                 np.asarray(x_next, dtype=float))
+
+
+def _estimate_disturbance(A_est, B_est, x_t, u_t, x_next):
+    """estimate_disturbance on normalised arrays."""
+    return x_next - (A_est @ x_t + B_est @ u_t)
 
 
 def surrogate_cost(params: DacParams, A_est, B_est, K, w_window,
@@ -142,17 +167,22 @@ def surrogate_cost(params: DacParams, A_est, B_est, K, w_window,
 def _surrogate_operators(A_est, B_est, K, H):
     """The surrogate's constant operators for fixed (A~, B~, K).
 
-    Returns (P, PB, gather): P[s] = (A~ + B~K)^{H-1-s}, PB[s] = P[s] B~, and
-    the index for which w_window[gather][s] = [w_{s+H-1}, ..., w_s] is the
-    descending window feeding the control at counterfactual step s.
+    Returns (P, PB, gather): P = [Acl^{H-1} ... Acl^0] as one (d_x, H d_x)
+    matrix with Acl = A~ + B~K, PB = [Acl^{H-1} B~ ... Acl^0 B~] as one
+    (d_x, H d_u) matrix, and the index for which w_window[gather][s] =
+    [w_{s+H-1}, ..., w_s] is the descending window feeding the control at
+    counterfactual step s.
     """
+    d_x = A_est.shape[0]
     Acl = A_est + B_est @ K
-    P = np.empty((H, A_est.shape[0], A_est.shape[0]))
-    P[H - 1] = np.eye(A_est.shape[0])
+    powers = np.empty((H, d_x, d_x))
+    powers[H - 1] = np.eye(d_x)
     for s in range(H - 2, -1, -1):
-        P[s] = Acl @ P[s + 1]
+        powers[s] = Acl @ powers[s + 1]
+    P = powers.transpose(1, 0, 2).reshape(d_x, H * d_x)
+    PB = (powers @ B_est).transpose(1, 0, 2).reshape(d_x, -1)
     gather = np.arange(H + 1)[:, None] + np.arange(H - 1, -1, -1)[None, :]
-    return P, P @ B_est, gather
+    return P, PB, gather
 
 
 def _surrogate_grad(M, operators, K, w_window, cost_fn):
@@ -162,21 +192,21 @@ def _surrogate_grad(M, operators, K, w_window, cost_fn):
     y = sum_s P[s] w_window[s+H] + PB[s] o_s, so the cost's sensitivity to
     o_s is PB[s]' lam for s < H, where lam = dc/dy + K' dc/du, and dc/du for
     the terminal offset o_H. The chain rule through o_s = sum_h M^h
-    w_window[s+H-1-h] gives the gradient in M.
+    w_window[s+H-1-h] gives the gradient in M. With the windows as the rows
+    of one (H+1, H d_x) matrix and M as (d_u, H d_x), each step is a matmul.
     """
     P, PB, gather = operators
-    H = M.shape[0]
-    stack = w_window[gather]  # (H+1, H, d_x)
-    offsets = np.einsum("hux,shx->su", M, stack)
-    y = np.einsum("sxy,sy->x", P, w_window[H:]) \
-        + np.einsum("sxu,su->x", PB, offsets[:H])
+    H, d_u, d_x = M.shape
+    stack = w_window[gather].reshape(H + 1, H * d_x)
+    offsets = stack @ M.transpose(1, 0, 2).reshape(d_u, H * d_x).T  # (H+1, d_u)
+    y = P @ w_window[H:].ravel() + PB @ offsets[:H].ravel()
     gx, gu = cost_fn.gradient(y, K @ y + offsets[H])
     gu = np.asarray(gu, dtype=float)
     lam = np.asarray(gx, dtype=float) + K.T @ gu
     g_offsets = np.empty_like(offsets)
-    g_offsets[:H] = np.einsum("sxu,x->su", PB, lam)
+    g_offsets[:H] = (lam @ PB).reshape(H, d_u)
     g_offsets[H] = gu
-    return np.einsum("su,shx->hux", g_offsets, stack)
+    return (g_offsets.T @ stack).reshape(d_u, H, d_x).transpose(1, 0, 2)
 
 
 def surrogate_gradient(params: DacParams, A_est, B_est, K, w_window,
@@ -213,7 +243,7 @@ class GpcResult:
 
 
 def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
-            W: float, H: int, eta: float, T: int, A_est, B_est,
+            H: int, eta: float, T: int, A_est, B_est,
             record_params: bool = False) -> GpcResult:
     """Online loop: play the DAC, observe, estimate the disturbance, take a
     projected gradient step on the surrogate loss.
@@ -224,14 +254,13 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     the slot written last. The window starts as the current plant state in
     the newest slot (the state left over from earlier phases enters as the
     first "disturbance") and zeros before it. The surrogate's operators are
-    built once from (A_est, B_est, K), which stay fixed for the run. W is the
-    disturbance-magnitude bound the step size was derived from; it is
-    recorded but not consulted.
+    built once from (A_est, B_est, K), which stay fixed for the run, and the
+    arguments are normalised once, before the loop.
     """
     if H < 1 or T < 0:
         raise ValueError("H must be >= 1 and T >= 0")
-    if eta < 0 or W <= 0:
-        raise ValueError("eta must be >= 0 and W > 0")
+    if eta < 0:
+        raise ValueError("eta must be >= 0")
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A_est = np.atleast_2d(np.asarray(A_est, dtype=float))
     B_est = np.asarray(B_est, dtype=float)
@@ -241,6 +270,7 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     params = project_M(DacParams.zeros(H, d_u, d_x), kappa_star, gamma_tilde)
     bounds = params.block_bounds(kappa_star, gamma_tilde)
     violation = params.max_violation(kappa_star, gamma_tilde)
+    M = params.M
     operators = _surrogate_operators(A_est, B_est, K, H)
     ring = np.zeros((4 * H, d_x))
     p = 2 * H - 1
@@ -252,24 +282,23 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     for _ in range(T):
         window = ring[p + 1:p + 1 + 2 * H]
         x = plant.state
-        u = dac_control(K, params, x, window)
+        u = _dac_control(K, M, x, window)
         outcome = plant.apply(u, phase="gpc")
         total += outcome.cost
-        w_hat = estimate_disturbance(A_est, B_est, x, u, outcome.x_next)
+        w_hat = _estimate_disturbance(A_est, B_est, x, u, outcome.x_next)
         if eta > 0.0:
-            g = _surrogate_grad(params.M, operators, K, window, outcome.cost_fn)
-            M, over, norms = _project_blocks(params.M - eta * g, bounds)
-            if over.any():
+            g = _surrogate_grad(M, operators, K, window, outcome.cost_fn)
+            M, over, norms = _project_blocks(M - eta * g, bounds)
+            if over.any():  # measure the clipped blocks again
                 active += 1
-                norms[over] = _block_norms(M[over])
-            params = DacParams(M=M)
-            violation = float(np.max(norms - bounds))
+                norms = _block_norms(M)
+            violation = float((norms - bounds).max())
         max_viol = max(max_viol, violation)
         if record_params:
-            history.append(params.M.copy())
+            history.append(M.copy())
         p = (p + 1) % (2 * H)
         ring[p] = ring[p + 2 * H] = w_hat
-    return GpcResult(params=params, steps=T, total_cost=total,
+    return GpcResult(params=DacParams(M=M), steps=T, total_cost=total,
                      max_constraint_violation=(max_viol if T else 0.0),
                      param_history=history, projection_active_rounds=active)
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ComparatorUnavailableError, PhaseError, ProbeScalingError
-from .lds import PriorBounds, RunLog, cost_at
+from .lds import PriorBounds, RunLog
 from .nsc import GpcResult, HindsightResult, best_dac_in_hindsight, gpc_run
 from .plant import BlackBoxPlant
 from .stabilize import RecoveryResult, controller_recovery, decay
@@ -76,21 +76,7 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
     if unknown:
         raise ValueError(f"unknown constant overrides: {sorted(unknown)}")
     prov = {}
-    tainted = set()
-
-    def resolve(name, formula, *parents):
-        if name in overrides:
-            prov[name] = "override"
-            tainted.add(name)
-            return float(overrides[name])
-        value = formula()
-        if any(p in tainted for p in parents):
-            prov[name] = "derived-from-override"
-            tainted.add(name)
-        else:
-            prov[name] = "default"
-        return value
-
+    resolve = _resolver(overrides, prov)
     lam = resolve("lam", lambda: 8.0 * beta)
     C = resolve("C", lambda: 3.0 * kappa**2 * k**2 * beta ** (6 * k))
     kappa_prime = resolve("kappa_prime", lambda: math.sqrt(C * d_x), "C")
@@ -124,17 +110,9 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
     gamma_tilde = resolve(
         "gamma_tilde", lambda: gamma_prime / (16.0 * d_x * kappa_prime**4),
         "kappa_prime", "gamma_prime")
-    kappa_star = resolve(
-        "kappa_star", lambda: 4.0 * kappa_tilde**2 * k**2 * beta ** (2 * k) * kappa,
-        "kappa_tilde")
-    W = resolve("W", lambda: 2.0 * kappa_star / gamma_tilde,
-                "kappa_star", "gamma_tilde")
+    kappa_star, W, H, eta = _phase3_constants(resolve, k, kappa, beta,
+                                              kappa_tilde, gamma_tilde, T, G)
     T1 = d_u * (k + 1) + 1
-    H = resolve("H", lambda: max(
-        1, math.ceil(math.log(max(kappa_star**2 * T, math.e)) / gamma_tilde)),
-        "kappa_star", "gamma_tilde")
-    H = int(H)
-    eta = resolve("eta", lambda: 1.0 / (G * W * math.sqrt(T)), "W")
     T0 = int(resolve("T0", lambda: math.ceil(T ** (2.0 / 3.0))))
     consts = PhaseConstants(
         k=k, kappa=float(kappa), beta=float(beta), d_x=d_x, d_u=d_u, T=T, G=G,
@@ -146,6 +124,45 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
         if getattr(consts, name) <= 0 or not math.isfinite(getattr(consts, name)):
             raise ValueError(f"derived constant {name} must be positive and finite")
     return consts
+
+
+def _resolver(overrides: dict, prov: dict):
+    """resolve(name, formula, *parents): the override for name if there is
+    one, else formula(). Records in prov whether each value is "default",
+    "override", or "derived-from-override" (a parent was overridden or
+    derived from an override)."""
+    tainted = set()
+
+    def resolve(name, formula, *parents):
+        if name in overrides:
+            prov[name] = "override"
+            tainted.add(name)
+            return float(overrides[name])
+        value = formula()
+        if any(p in tainted for p in parents):
+            prov[name] = "derived-from-override"
+            tainted.add(name)
+        else:
+            prov[name] = "default"
+        return value
+
+    return resolve
+
+
+def _phase3_constants(resolve, k, kappa, beta, kappa_s, gamma_s, T, G):
+    """kappa*, W, H and eta of phase 3 for the stability pair (kappa_s,
+    gamma_s) in force, each through resolve (see _resolver)."""
+    kappa_star = resolve(
+        "kappa_star", lambda: 4.0 * kappa_s**2 * k**2 * beta ** (2 * k) * kappa,
+        "kappa_tilde")
+    W = resolve("W", lambda: 2.0 * kappa_star / gamma_s,
+                "kappa_star", "gamma_tilde")
+    H = resolve("H", lambda: max(
+        1, math.ceil(math.log(max(kappa_star**2 * T, math.e)) / gamma_s)),
+        "kappa_star", "gamma_tilde")
+    H = int(H)
+    eta = resolve("eta", lambda: 1.0 / (G * W * math.sqrt(T)), "W")
+    return kappa_star, W, H, eta
 
 
 @dataclass
@@ -192,12 +209,14 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     decay length and phase-3 constants are rebuilt from the strong-stability
     certificate the SDP witness actually provides on the estimates (degraded
     by the 2 eps kappa^2 transfer margin for the true system) instead of the
-    worst-case formulas; provenance records the substitution.
+    worst-case formulas; provenance records the substitution. Overrides of
+    kappa_star, W, H and eta hold on either path, and the constants derived
+    from an overridden one follow it.
 
     The comparator (hence regret) is computed only in simulation mode, by
     replaying the recorded disturbances through the true system.
     """
-    G = _cost_scale(plant)
+    G = plant.cost_scale
     if constants is None:
         constants = derive_constants(prior.k, prior.kappa, prior.beta,
                                      plant.d_x, plant.d_u, T,
@@ -243,20 +262,11 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
                          f"{rounds_used} >= T = {T}")
 
     # Phase 3 constants follow the stability parameters actually in force.
-    kappa_star = 4.0 * kappa_use**2 * prior.k**2 * prior.beta ** (2 * prior.k) \
-        * prior.kappa
-    W = 2.0 * kappa_star / gamma_use
-    H = max(1, math.ceil(math.log(max(kappa_star**2 * T, math.e)) / gamma_use))
-    eta = 1.0 / (G * W * math.sqrt(T))
-    ovr = dict(overrides or {})
-    if not use_certified_stability or "kappa_star" in ovr:
-        kappa_star = cst.kappa_star
-    if not use_certified_stability or "W" in ovr:
-        W = cst.W
-    if not use_certified_stability or "H" in ovr:
-        H = cst.H
-    if not use_certified_stability or "eta" in ovr:
-        eta = cst.eta
+    kappa_star, W, H, eta = cst.kappa_star, cst.W, cst.H, cst.eta
+    if use_certified_stability:
+        kappa_star, W, H, eta = _phase3_constants(
+            _resolver(dict(overrides or {}), {}), prior.k, prior.kappa,
+            prior.beta, kappa_use, gamma_use, T, G)
     stability_used = {"kappa": kappa_use, "gamma": gamma_use, "source": source,
                       "kappa_star": kappa_star, "W": W, "H": H, "eta": eta}
 
@@ -266,7 +276,7 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         A_p3, B_p3, spent = _reidentify(plant, recovery.K, cst.T0, T3, seed)
         T_gpc = T3 - spent
     try:
-        gpc = gpc_run(plant, recovery.K, kappa_star, gamma_use, W, H, eta,
+        gpc = gpc_run(plant, recovery.K, kappa_star, gamma_use, H, eta,
                       T_gpc, A_p3, B_p3)
     except Exception as exc:
         raise PhaseError("gpc", str(exc)) from exc
@@ -299,13 +309,6 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         config_echo=dict(config_echo or {}))
 
 
-def _cost_scale(plant: BlackBoxPlant) -> float:
-    try:
-        return float(cost_at(plant._costs, 1).G)
-    except Exception:
-        return 2.0
-
-
 def _reidentify(plant: BlackBoxPlant, K, T0: int, T3: int, seed):
     """Optional phase-3 re-identification: stabilized unit-sign probing for
     T0 rounds, then joint least squares on the residual transitions."""
@@ -317,7 +320,7 @@ def _reidentify(plant: BlackBoxPlant, K, T0: int, T3: int, seed):
     for _ in range(budget):
         probe = rng.choice([-1.0, 1.0], size=plant.d_u)
         u = K @ x + probe
-        outcome = plant.apply(u, phase="gpc")
+        outcome = plant.apply(u, phase="reidentify")
         xs.append(x)
         us.append(u)
         x = outcome.x_next

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteValueError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteValueError
 from .lds import (
     CostFunction,
     CostSpec,
@@ -73,6 +73,19 @@ class BlackBoxPlant:
     @property
     def state(self) -> np.ndarray:
         return self._x.copy()
+
+    @property
+    def cost_scale(self) -> float:
+        """The declared Lipschitz scale G of the round-1 cost. G is part of
+        the cost contract, so it is readable outside simulation mode."""
+        try:
+            cost = cost_at(self._costs, 1)
+        except (IndexError, TypeError) as exc:
+            raise ConfigError("costs", f"no round-1 cost ({exc})") from exc
+        if not isinstance(cost, CostFunction):
+            raise ConfigError("costs", f"round-1 cost is a {type(cost).__name__}, "
+                                       "not a CostFunction")
+        return float(cost.G)
 
     def apply(self, u, phase: str) -> StepOutcome:
         """Commit control u_t, pay c_t(x_t, u_t), advance to x_{t+1}."""

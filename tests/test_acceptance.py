@@ -213,7 +213,7 @@ def test_criterion_07_gpc_correctness():
     # feasibility after every step, with a tight set so projection must clip
     sys = LinearSystem([[0.6]], [[1.0]])
     plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.5), QUAD, [0.0])
-    res = gpc_run(plant, [[-0.3]], 1.05, 0.5, 1.0, 4, 0.5, 300, sys.A, sys.B,
+    res = gpc_run(plant, [[-0.3]], 1.05, 0.5, 4, 0.5, 300, sys.A, sys.B,
                   record_params=True)
     feas_ok = res.max_constraint_violation <= 1e-12
     clipped = any(np.linalg.norm(M[0], 2) >= 1.05**4 * 0.5 - 1e-9
@@ -221,7 +221,7 @@ def test_criterion_07_gpc_correctness():
 
     # zero-noise fixed point is exact
     plant0 = BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [0.0])
-    res0 = gpc_run(plant0, [[-0.3]], 4.0, 0.5, 1.0, 4, 0.1, 100, sys.A, sys.B)
+    res0 = gpc_run(plant0, [[-0.3]], 4.0, 0.5, 4, 0.1, 100, sys.A, sys.B)
     zero_ok = res0.total_cost == 0.0 and np.all(res0.params.M == 0.0)
 
     _report(7, grad_ok and feas_ok and zero_ok,

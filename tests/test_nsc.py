@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blackbox_lds import (
     BlackBoxPlant,
@@ -19,63 +22,9 @@ from blackbox_lds import (
     surrogate_gradient,
 )
 from blackbox_lds.nsc import DacParams, _project_blocks, dac_total_cost
+from gpc_reference import ref_gpc_run, ref_project, ref_project_vectors
 
 QUAD = CostFunction.quadratic()
-
-
-# -- reference implementations: per-block projection and the step-by-step
-# online loop (history rebuilt by np.vstack, forward rollout and reverse
-# accumulation over the horizon), against which the batched paths are checked
-
-def _ref_project(M, bounds):
-    out = np.empty_like(M)
-    clipped = np.zeros(len(M), dtype=bool)
-    for i in range(len(M)):
-        if np.linalg.norm(M[i], 2) <= bounds[i]:
-            out[i] = M[i]
-            continue
-        U, s, Vt = np.linalg.svd(M[i], full_matrices=False)
-        out[i] = (U * np.minimum(s, bounds[i])) @ Vt
-        clipped[i] = True
-    return out, clipped
-
-
-def _ref_surrogate_gradient(M, A, B, K, w, cost_fn):
-    H = len(M)
-    stack = np.array([[w[s + H - 1 - h] for h in range(H)] for s in range(H + 1)])
-    offsets = np.einsum("hux,shx->su", M, stack)
-    ys = [np.zeros(A.shape[0])]
-    for s in range(H):
-        u = K @ ys[s] + offsets[s]
-        ys.append(A @ ys[s] + B @ u + w[s + H])
-    gx, gu = cost_fn.gradient(ys[H], K @ ys[H] + offsets[H])
-    g_u = np.empty((H + 1, M.shape[1]))
-    g_u[H] = gu
-    g_y = gx + K.T @ gu
-    for s in range(H - 1, -1, -1):
-        g_u[s] = B.T @ g_y
-        g_y = A.T @ g_y + K.T @ g_u[s]
-    return np.einsum("su,shx->hux", g_u, stack)
-
-
-def _ref_gpc_run(plant, K, kappa, gamma, H, eta, T, A, B):
-    bounds = kappa**4 * (1.0 - gamma) ** np.arange(1, H + 1)
-    M = np.zeros((H, B.shape[1], A.shape[0]))
-    buf = np.zeros((2 * H, A.shape[0]))
-    buf[-1] = plant.state
-    total, history, active = 0.0, [], 0
-    for _ in range(T):
-        x = plant.state
-        u = K @ x + np.einsum("hux,hx->u", M, buf[::-1][:H])
-        outcome = plant.apply(u, phase="gpc")
-        total += outcome.cost
-        w_hat = outcome.x_next - (A @ x + B @ u)
-        g = _ref_surrogate_gradient(M, A, B, K, buf, outcome.cost_fn)
-        M, clipped = _ref_project(M - eta * g, bounds)
-        active += bool(clipped.any())
-        history.append(M.copy())
-        buf = np.vstack([buf[1:], w_hat])
-    return total, history, active
 
 
 def _mimo_instance(rng, d_x, d_u):
@@ -221,13 +170,25 @@ class TestProjectM:
 
     @staticmethod
     def _check_against_reference(M, bounds):
+        # matrix and 1x1 blocks: bit-exact against the per-block SVD
+        # reference; 1xn and nx1 blocks (n >= 2): bit-exact against the
+        # per-block closed form, and within 4 ulp of ||b|| of the SVD
         before = M.copy()
         out, over, norms = _project_blocks(M, bounds)
-        ref, clipped = _ref_project(M, bounds)
+        ref, clipped = ref_project(M, bounds)
+        svd_norms = np.array([np.linalg.norm(b, 2) for b in M])
         assert np.array_equal(M, before)  # input untouched
         assert np.array_equal(over, clipped)
-        assert np.array_equal(out, ref)
-        assert np.array_equal(norms, [np.linalg.norm(b, 2) for b in M])
+        if min(M.shape[1:]) == 1 and max(M.shape[1:]) > 1:
+            vec_out, vec_norms = ref_project_vectors(M, bounds)
+            assert np.array_equal(out, vec_out)
+            assert np.array_equal(norms, vec_norms)
+            ulp = 4 * np.spacing(svd_norms)
+            assert np.all(np.abs(norms - svd_norms) <= ulp)
+            assert np.all(np.abs(out - ref) <= ulp[:, None, None])
+        else:
+            assert np.array_equal(out, ref)
+            assert np.array_equal(norms, svd_norms)
         return over
 
     def test_batched_matches_per_block_reference(self, rng):
@@ -259,6 +220,29 @@ class TestProjectM:
             assert over.tolist() == [clipped]
         assert project_M(DacParams(np.array([[[-0.75]]])), 1.0, 0.5).M[0, 0, 0] == -0.5
 
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=3, max_dims=3, max_side=5),
+                      elements=st.floats(-1e200, 1e200)),
+           st.floats(1e-100, 1e100))
+    @settings(max_examples=200, deadline=None)
+    def test_projection_properties(self, M, bound_scale):
+        # any shape: blocks within their bound come back bit-identical, every
+        # block ends within its bound up to rounding (a clipped one on it),
+        # and the input is untouched. The rounding is 4 eps for the vector
+        # closed form; the SVD round trip of a matrix block measures up to
+        # (max(d_u, d_x) + 2) eps, so it gets 4 max(d_u, d_x) eps.
+        bounds = bound_scale * 0.5 ** np.arange(len(M))
+        before = M.copy()
+        out, over, _ = _project_blocks(M, bounds)
+        shape = M.shape[1:]
+        tol = 4 * np.finfo(float).eps * (1 if min(shape) == 1 else max(shape))
+        assert np.array_equal(M, before)
+        assert np.array_equal(out[~over], M[~over])
+        for b, bound, clipped in zip(out, bounds, over):
+            norm = np.linalg.norm(b, 2)
+            assert norm <= bound * (1 + tol)
+            assert not clipped or norm >= bound * (1 - tol)
+
     def test_max_violation_matches_per_block_norms(self, rng):
         for _ in range(20):
             M = DacParams(rng.normal(size=(4, 2, 3)))
@@ -271,7 +255,7 @@ class TestGpcRun:
     def test_zero_noise_fixed_point(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [0.0])
-        res = gpc_run(plant, [[-0.2]], 4.0, 0.5, 1.0, 3, 0.05, 60,
+        res = gpc_run(plant, [[-0.2]], 4.0, 0.5, 3, 0.05, 60,
                       sys.A, sys.B)
         assert res.total_cost == 0.0
         assert np.all(res.params.M == 0.0)
@@ -282,7 +266,7 @@ class TestGpcRun:
     def test_zero_learning_rate_freezes_params(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, SinusoidalDisturbance(1), QUAD, [0.3])
-        res = gpc_run(plant, [[-0.2]], 4.0, 0.5, 1.0, 3, 0.0, 40, sys.A, sys.B)
+        res = gpc_run(plant, [[-0.2]], 4.0, 0.5, 3, 0.0, 40, sys.A, sys.B)
         assert np.all(res.params.M == 0.0)
         # equals the plain feedback simulation
         x = np.array([0.3])
@@ -297,7 +281,7 @@ class TestGpcRun:
     def test_feasibility_every_step(self, rng):
         sys = LinearSystem([[0.6]], [[1.0]])
         plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.5), QUAD, [0.0])
-        res = gpc_run(plant, [[-0.3]], 2.0, 0.3, 1.0, 4, 0.05, 200,
+        res = gpc_run(plant, [[-0.3]], 2.0, 0.3, 4, 0.05, 200,
                       sys.A, sys.B, record_params=True)
         kappa, gamma = 2.0, 0.3
         bounds = kappa**4 * (1 - gamma) ** np.arange(1, 5)
@@ -313,7 +297,7 @@ class TestGpcRun:
         from blackbox_lds import ReplayDisturbance
         w_seq = np.array([[0.25], [-0.5], [0.125], [0.0], [0.0625]] * 10)
         plant = BlackBoxPlant(sys, ReplayDisturbance(w_seq), QUAD, [0.0])
-        gpc_run(plant, [[-0.5]], 4.0, 0.5, 1.0, 3, 0.0, 50, sys.A, sys.B)
+        gpc_run(plant, [[-0.5]], 4.0, 0.5, 3, 0.0, 50, sys.A, sys.B)
         log = plant.log
         states = list(log.states()) + [plant.state]
         for i, r in enumerate(log.records):
@@ -326,7 +310,7 @@ class TestGpcRun:
         sys = LinearSystem([[0.5]], [[1.0]])
         dist = SinusoidalDisturbance(1, omega=0.3)
         plant = BlackBoxPlant(sys, dist, QUAD, [0.0])
-        gpc_run(plant, [[-0.2]], 4.0, 0.5, 1.0, 3, 0.02, 50, sys.A, sys.B)
+        gpc_run(plant, [[-0.2]], 4.0, 0.5, 3, 0.02, 50, sys.A, sys.B)
         log = plant.log
         states = list(log.states()) + [plant.state]
         for i, r in enumerate(log.records):
@@ -341,7 +325,7 @@ class TestGpcRun:
         # the projection is active in some rounds and not in others
         T = 150
         checked_active = 0
-        for d_x, d_u in ((3, 2), (2, 3), (2, 2)):
+        for d_x, d_u in ((3, 2), (2, 3), (2, 2), (1, 1), (3, 1), (1, 2)):
             sys, K, A_est, B_est = _mimo_instance(rng, d_x, d_u)
             kappa, gamma, eta = 0.8, 0.3, 0.2
             x1 = rng.normal(size=d_x)
@@ -350,9 +334,9 @@ class TestGpcRun:
                 return BlackBoxPlant(sys, SinusoidalDisturbance(d_x, omega=0.3),
                                      QUAD, x1, seed=0)
 
-            res = gpc_run(plant(), K, kappa, gamma, 1.0, H, eta, T, A_est, B_est,
+            res = gpc_run(plant(), K, kappa, gamma, H, eta, T, A_est, B_est,
                           record_params=True)
-            total, history, active = _ref_gpc_run(plant(), K, kappa, gamma, H,
+            total, history, active = ref_gpc_run(plant(), K, kappa, gamma, H,
                                                   eta, T, A_est, B_est)
             assert res.total_cost == pytest.approx(total, rel=1e-12, abs=0.0)
             assert len(res.param_history) == T
@@ -367,7 +351,7 @@ class TestGpcRun:
 
         def run(kappa, eta):
             plant = BlackBoxPlant(sys, SinusoidalDisturbance(1), QUAD, [0.3])
-            return gpc_run(plant, [[-0.2]], kappa, 0.5, 1.0, 3, eta, 40,
+            return gpc_run(plant, [[-0.2]], kappa, 0.5, 3, eta, 40,
                            sys.A, sys.B).projection_active_rounds
 
         assert run(4.0, 0.0) == 0  # no step, nothing to project
@@ -387,7 +371,7 @@ class TestGpcRun:
             eta = 1.0 / (QUAD.G * 1.0 * np.sqrt(T))
             plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2),
                                   QUAD, [0.0], seed=0)
-            res = gpc_run(plant, K, kappa_star, cert.gamma, 1.0, H, eta, T,
+            res = gpc_run(plant, K, kappa_star, cert.gamma, H, eta, T,
                           sys.A, sys.B)
             comp = best_dac_in_hindsight(sys, plant.disturbance_history(), QUAD,
                                          K, H, kappa_star, cert.gamma, [0.0],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from blackbox_lds import (
     CostFunction,
     LinearSystem,
     PriorBounds,
+    ReplayDisturbance,
     SinusoidalDisturbance,
     ZeroDisturbance,
     derive_constants,
@@ -15,12 +18,16 @@ from blackbox_lds import (
 )
 from blackbox_lds.errors import (
     ComparatorUnavailableError,
+    ConfigError,
     PhaseError,
     ProbeScalingError,
 )
 from blackbox_lds.sysid import epsilon_zero, probe_plan
+from gpc_reference import ref_gpc_run
 
 QUAD = CostFunction.quadratic()
+# a stability pair that keeps the worst-case (uncertified) path short
+WORST_CASE = {"eps": 1e-3, "kappa_tilde": 1.0, "gamma_tilde": 0.5}
 
 
 class TestDeriveConstants:
@@ -206,3 +213,93 @@ class TestRunPipeline:
                               comparator_iters=40, seed=5)
         assert report.regret_value is not None
         assert len(report.log.records) == 400
+        # the probing rounds are their own phase, between decay and gpc
+        sysid = report.constants.T1 - 1
+        T3 = 400 - sysid - report.decay_steps
+        spent = min(report.constants.T0, max(T3 // 2, 1))
+        phases = [r.phase for r in report.log.records]
+        assert phases == (["sysid"] * sysid + ["decay"] * report.decay_steps
+                          + ["reidentify"] * spent + ["gpc"] * report.gpc_steps)
+        assert phases.count("gpc") == report.gpc_steps == T3 - spent
+        assert sum(report.phase_costs.values()) == pytest.approx(
+            report.total_cost, rel=1e-12)
+
+    def test_gpc_phase_matches_reference_loop(self):
+        # replay the logged GPC-round disturbances from the first GPC-round
+        # state through the step-by-step reference loop with the report's
+        # constants: it must reproduce the GPC-phase cost
+        sys, plant, report = self._benchmark(400)
+        gpc = [r for r in report.log.records if r.phase == "gpc"]
+        assert len(gpc) == report.gpc_steps
+        used = report.stability_used
+        replay = BlackBoxPlant(sys, ReplayDisturbance([r.w for r in gpc]), QUAD,
+                               gpc[0].x)
+        total, _, active = ref_gpc_run(
+            replay, report.recovery.K, used["kappa_star"], used["gamma"],
+            used["H"], used["eta"], report.gpc_steps, report.estimates.A_hat,
+            report.estimates.B_hat)
+        assert report.phase_costs["gpc"] == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert report.gpc_result.total_cost == pytest.approx(total, rel=1e-12,
+                                                             abs=0.0)
+        assert report.gpc_result.projection_active_rounds == active
+
+    def test_worst_case_stability_uses_derived_constants(self):
+        sys = LinearSystem([[0.5]], [[1.0]])
+        plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), QUAD,
+                              [0.0], seed=1, simulation_mode=False)
+        report = run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 400,
+                              overrides=WORST_CASE, seed=1)
+        cst = derive_constants(1, 1.0, 1.0, 1, 1, 400, overrides=WORST_CASE)
+        used = report.stability_used
+        assert used["source"] == "worst-case"
+        assert (used["kappa"], used["gamma"]) == (cst.kappa_tilde, cst.gamma_tilde)
+        for name in ("kappa_star", "W", "H", "eta"):
+            assert used[name] == getattr(cst, name)
+
+    def test_certified_stability_derives_phase3_constants(self):
+        # the certified pair enters the same formulas as kappa~/gamma~ do
+        _, _, report = self._benchmark(400)
+        used = report.stability_used
+        assert used["source"] == "certified"
+        cst = derive_constants(1, 1.0, 1.0, 1, 1, 400, overrides={
+            "eps": 1e-3, "kappa_tilde": used["kappa"], "gamma_tilde": used["gamma"]})
+        for name in ("kappa_star", "W", "H", "eta"):
+            assert used[name] == getattr(cst, name)
+        # an overridden kappa_star holds, and W, H and eta follow it
+        sys = LinearSystem([[0.5]], [[1.0]])
+        plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), QUAD,
+                              [0.0], seed=1, simulation_mode=False)
+        report = run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 400,
+                              overrides={"eps": 1e-3, "kappa_star": 5.0},
+                              use_certified_stability=True, seed=1)
+        used = report.stability_used
+        cst = derive_constants(1, 1.0, 1.0, 1, 1, 400, overrides={
+            "eps": 1e-3, "kappa_tilde": used["kappa"], "gamma_tilde": used["gamma"],
+            "kappa_star": 5.0})
+        assert used["kappa_star"] == 5.0
+        assert used["W"] == 2.0 * 5.0 / used["gamma"]
+        for name in ("W", "H", "eta"):
+            assert used[name] == getattr(cst, name)
+
+    def test_cost_scale_sets_eta(self):
+        sys = LinearSystem([[0.5]], [[1.0]])
+        cost = dataclasses.replace(QUAD, G=5.0)
+        plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), cost,
+                              [0.0], seed=1, simulation_mode=False)
+        assert plant.cost_scale == 5.0
+        report = run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 400,
+                              overrides=WORST_CASE, seed=1)
+        expected = derive_constants(1, 1.0, 1.0, 1, 1, 400, overrides=WORST_CASE,
+                                    G=5.0).eta
+        assert report.constants.G == 5.0
+        assert report.stability_used["eta"] == expected
+        assert expected != derive_constants(1, 1.0, 1.0, 1, 1, 400,
+                                            overrides=WORST_CASE).eta
+
+    def test_unresolvable_cost_spec_is_a_config_error(self):
+        sys = LinearSystem([[0.5]], [[1.0]])
+        plant = BlackBoxPlant(sys, ZeroDisturbance(), [], [0.0], seed=0)
+        with pytest.raises(ConfigError, match="costs"):
+            run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 400,
+                         overrides={"eps": 1e-3})
+        assert plant.t == 1  # raised before any round was played

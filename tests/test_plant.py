@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,11 @@ from blackbox_lds import (
     ZeroDisturbance,
     simulate,
 )
-from blackbox_lds.errors import DimensionMismatchError, NonFiniteValueError
+from blackbox_lds.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteValueError,
+)
 
 QUAD = CostFunction.quadratic()
 
@@ -64,6 +70,19 @@ class TestBlackBoxContract:
                 accessor()
         # cumulative cost stays observable: the learner pays it
         assert plant.total_cost >= 0.0
+
+    def test_cost_scale_is_the_round1_g(self):
+        # readable without simulation mode, for every form of cost spec
+        sys = LinearSystem([[0.5]], [[1.0]])
+        steep = dataclasses.replace(QUAD, G=7.0)
+        for costs in (steep, [steep, QUAD], lambda t: steep if t == 1 else QUAD):
+            plant = BlackBoxPlant(sys, ZeroDisturbance(), costs, [1.0],
+                                  simulation_mode=False)
+            assert plant.cost_scale == 7.0
+        for costs in ([], [object()], lambda t: None):
+            plant = BlackBoxPlant(sys, ZeroDisturbance(), costs, [1.0])
+            with pytest.raises(ConfigError, match="costs"):
+                plant.cost_scale
 
     def test_simulation_mode_records_everything(self):
         sys = LinearSystem([[0.5]], [[1.0]])
