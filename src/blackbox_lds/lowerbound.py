@@ -7,6 +7,13 @@ system online, row by row, so that the state provably reaches 2^{d_x - 1}.
 Both harnesses attack an arbitrary user-supplied controller, given as a
 zero-argument factory returning a deterministic-or-not callback
 history -> control, where history is the list of observed states x_1..x_t.
+
+Cost per round t, besides the attacked controller: the randomized trial
+steps a dense system (O(d_x^2)) and keeps its subspace tracker in
+O(d_x t); the deterministic adversary's bookkeeping is O(d_x t), including
+an escape direction when the control adds nothing new. The built-in
+certainty-equivalent controller costs O(d_x t^2) (an SVD of the d_x-by-t
+state matrix); the other built-ins cost at most one d_x-by-d_x product.
 """
 
 from __future__ import annotations
@@ -25,24 +32,60 @@ ControllerFactory = Callable[[], ControllerFn]
 _ORTHO_TOL = 1e-10
 
 
+class _Rows:
+    """Rows appended one at a time to a buffer whose capacity doubles when it
+    fills (never past max_rows), so n appends copy O(n) rows in all instead
+    of O(n^2); `view` is the (n, width) block written so far."""
+
+    def __init__(self, width: int, max_rows: Optional[int] = None):
+        self.max_rows = max_rows
+        capacity = 8 if max_rows is None else min(8, max_rows)
+        self.data = np.zeros((capacity, width))
+        self.n = 0
+
+    @property
+    def view(self) -> np.ndarray:
+        return self.data[: self.n]
+
+    def append(self, row) -> None:
+        if self.n == len(self.data):
+            capacity = 2 * len(self.data)
+            if self.max_rows is not None:
+                capacity = min(capacity, self.max_rows)
+            grown = np.zeros((capacity, self.data.shape[1]))
+            grown[: self.n] = self.view
+            self.data = grown
+        self.data[self.n] = row
+        self.n += 1
+
+
 class SubspaceTracker:
     """Orthonormal basis of span(x_1..x_t, u_1..u_t), grown incrementally by
-    Gram-Schmidt with one reorthogonalization pass."""
+    Gram-Schmidt with one reorthogonalization pass.
+
+    The basis vectors are the rows of a growable buffer, so `residual` and
+    `extend` cost O(dim * rank) and the basis is never copied per call;
+    `basis` is the (dim, rank) view of it."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.basis = np.zeros((dim, 0))
+        self._rows = _Rows(dim, max_rows=dim)
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self._rows.n
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._rows.view.T
 
     def residual(self, x) -> np.ndarray:
         """Component of x orthogonal to the tracked span; its norm equals the
         norm of the coordinates of x outside the span."""
         x = np.asarray(x, dtype=float)
-        r = x - self.basis @ (self.basis.T @ x)
-        r = r - self.basis @ (self.basis.T @ r)
+        rows = self._rows.view
+        r = x - rows.T @ (rows @ x)
+        r = r - rows.T @ (rows @ r)
         return r
 
     def extend(self, v) -> bool:
@@ -52,7 +95,7 @@ class SubspaceTracker:
         n = np.linalg.norm(r)
         if n <= _ORTHO_TOL * max(1.0, np.linalg.norm(v)) or self.rank >= self.dim:
             return False
-        self.basis = np.hstack([self.basis, (r / n).reshape(-1, 1)])
+        self._rows.append(r / n)
         return True
 
 
@@ -107,7 +150,9 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
     """One trial against a Gaussian system A ~ N(d_x, d_x, gamma/d_x):
     simulate x_{t+1} = A x_t + u_t from x_1 = e_1 for T = floor(d_x/8) rounds
     with costs ||x||^2 + ||u||^2, tracking the unseen-subspace residual h_t
-    and whether it doubled."""
+    and whether it doubled. Round t costs O(d_x^2) for A x_t and O(d_x t)
+    for the tracker, plus the controller's call; ||A|| is one dense
+    spectral norm at the end."""
     A = sample_gaussian_system(d_x, gamma, seed)
     controller = controller_factory()
     T = max(d_x // 8, 1)
@@ -143,13 +188,15 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
 def _unit_outside_span(rows: np.ndarray, dim: int) -> np.ndarray:
     """Deterministic unit vector orthogonal to the given orthonormal rows:
     the standard basis vector with the largest residual, projected and
-    normalized."""
-    residuals = np.eye(dim) - rows.T @ rows  # column j = residual of e_j
-    norms = np.linalg.norm(residuals, axis=0)
-    j = int(np.argmax(norms))
-    if norms[j] <= _ORTHO_TOL:
+    normalized. The residual of e_j has squared norm 1 - ||rows[:, j]||^2,
+    so only the chosen residual is built: O(dim * len(rows))."""
+    j = int(np.argmax(1.0 - np.sum(rows * rows, axis=0)))
+    r = -(rows.T @ rows[:, j])
+    r[j] += 1.0
+    norm = np.linalg.norm(r)
+    if norm <= _ORTHO_TOL:
         raise ValueError("no direction left outside the span")
-    return residuals[:, j] / norms[j]
+    return r / norm
 
 
 def _sign(v: float) -> float:
@@ -173,6 +220,7 @@ def deterministic_adversary(controller_factory: ControllerFactory,
 
     Determinism of the controller is verified by running two independently
     constructed instances on the same history and comparing controls.
+    Round t costs O(d_x t) besides the two controller calls.
     """
     if d_x < 2:
         raise ValueError("d_x must be >= 2")
@@ -262,19 +310,33 @@ def negative_identity_controller() -> ControllerFn:
 
 def certainty_equivalent_controller() -> ControllerFn:
     """Least-squares certainty equivalence: fit x_{t+1} - u_t = A x_t on the
-    observed transitions and play u_t = -A_hat x_t."""
-    past_controls = []
+    observed transitions and play u_t = -A_hat x_t with A_hat = Y pinv(X).
+
+    The product is evaluated as -(Y (pinv(X) x)), so the d_x-by-d_x A_hat is
+    never formed, and each call appends its one new transition to growable
+    buffers instead of rebuilding X and Y from the history. A call after t
+    observed states costs O(d_x t^2), the SVD inside pinv. The controller
+    expects the history to grow by one state per call, as both harnesses do.
+    """
+    X = Y = None  # transitions as rows: x_i and x_{i+1} - u_i
+    last_u = None
+    calls = 0
 
     def act(history):
+        nonlocal X, Y, last_u, calls
+        if len(history) != calls + 1:
+            raise ValueError(f"expected a history of {calls + 1} states, "
+                             f"got {len(history)}")
+        calls += 1
         x = history[-1]
-        if len(history) >= 2:
-            X = np.array(history[:-1]).T
-            Y = (np.array(history[1:]) - np.array(past_controls)).T
-            A_hat = Y @ np.linalg.pinv(X)
-            u = -A_hat @ x
-        else:
+        if last_u is None:
+            X, Y = _Rows(len(x)), _Rows(len(x))
             u = np.zeros_like(x)
-        past_controls.append(u)
+        else:
+            X.append(history[-2])
+            Y.append(x - last_u)
+            u = -(Y.view.T @ (np.linalg.pinv(X.view.T) @ x))
+        last_u = u
         return u
 
     return act

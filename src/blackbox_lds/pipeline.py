@@ -214,7 +214,10 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     from an overridden one follow it.
 
     The comparator (hence regret) is computed only in simulation mode, by
-    replaying the recorded disturbances through the true system.
+    replaying the recorded disturbances through the true system. A DAC
+    horizon H longer than the rounds left for phase 3 raises PhaseError("gpc")
+    before phase 3 allocates anything; the worst-case constants give such an
+    H (about 19600 on a scalar plant at T = 10000).
     """
     G = plant.cost_scale
     if constants is None:
@@ -275,6 +278,11 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     if reidentify:
         A_p3, B_p3, spent = _reidentify(plant, recovery.K, cst.T0, T3, seed)
         T_gpc = T3 - spent
+    if H > T_gpc:
+        # phase 3 builds (H+1) x H window stacks: gigabytes at such an H
+        raise PhaseError("gpc", f"DAC horizon H={H} exceeds the {T_gpc} rounds "
+                         f"left for GPC ({source} stability constants); lower "
+                         "it with the H override or use certified stability")
     try:
         gpc = gpc_run(plant, recovery.K, kappa_star, gamma_use, H, eta,
                       T_gpc, A_p3, B_p3)

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 
 from blackbox_lds.cli import main
@@ -211,6 +212,47 @@ class TestLowerboundCommands:
             for fname in ("steps.csv", "summary.json"):
                 assert _read(outs[0] / f"trial_{i:04d}" / fname) \
                     == _read(outs[1] / f"trial_{i:04d}" / fname)
+
+
+    def test_trial_matches_single_run_with_its_seed(self, tmp_path):
+        cfg = _write_config(tmp_path, "cfg.json",
+                            {"experiment": "lowerbound-rand", "d_x": 40,
+                             "gamma": 40.0, "controller": "certainty_equivalent",
+                             "seed": 7})
+        fan = tmp_path / "fan"
+        assert main(["lowerbound-rand", "--config", cfg, "--out", str(fan),
+                     "--trials", "3"]) == 0
+        for i in range(3):
+            single = tmp_path / f"single{i}"
+            assert main(["lowerbound-rand", "--config", cfg, "--out", str(single),
+                         "--seed", str(7 + i)]) == 0
+            for fname in ("steps.csv", "summary.json"):
+                assert _read(fan / f"trial_{i:04d}" / fname) \
+                    == _read(single / fname)
+
+
+class TestVerboseLogging:
+    CFG = {"experiment": "lowerbound-det", "d_x": 4}
+
+    def test_env_read_when_main_runs(self, tmp_path, monkeypatch, capsys):
+        cfg = _write_config(tmp_path, "cfg.json", self.CFG)
+        out = tmp_path / "o"
+        monkeypatch.setenv("BLACKBOX_LDS_VERBOSE", "1")
+        assert main(["lowerbound-det", "--config", cfg, "--out", str(out)]) == 0
+        assert f"running lowerbound-det -> {out}" in capsys.readouterr().err
+        monkeypatch.setenv("BLACKBOX_LDS_VERBOSE", "0")
+        assert main(["lowerbound-det", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_progress_goes_through_the_package_logger(self, tmp_path,
+                                                      monkeypatch, caplog):
+        cfg = _write_config(tmp_path, "cfg.json", self.CFG)
+        monkeypatch.delenv("BLACKBOX_LDS_VERBOSE", raising=False)
+        with caplog.at_level(logging.INFO, logger="blackbox_lds"):
+            assert main(["lowerbound-det", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert [r.name for r in caplog.records] == ["blackbox_lds"]
+        assert caplog.records[0].getMessage().startswith("running lowerbound-det")
 
 
 class TestSysidAndRecoverCommands:

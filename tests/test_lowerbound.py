@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blackbox_lds import (
     SubspaceTracker,
@@ -11,12 +13,18 @@ from blackbox_lds.errors import (
     ConstructionDriftError,
     NonDeterministicControllerError,
 )
+from blackbox_lds import lowerbound as lb
 from blackbox_lds.lowerbound import (
     BUILTIN_CONTROLLERS,
     certainty_equivalent_controller,
     frozen_random_controller,
     negative_identity_controller,
     zero_controller,
+)
+from lowerbound_reference import (
+    RefSubspaceTracker,
+    ref_certainty_equivalent_controller,
+    ref_unit_outside_span,
 )
 
 
@@ -57,6 +65,45 @@ class TestSubspaceTracker:
         assert tr.extend([1.0, 0.0, 0.0])
         assert not tr.extend([2.0, 0.0, 0.0])
         assert tr.rank == 1
+
+    @given(st.integers(1, 8),
+           st.lists(st.tuples(st.sampled_from(["random", "in_span", "repeat",
+                                               "near_span"]),
+                              st.integers(0, 2**32 - 1), st.integers(-100, 100)),
+                    min_size=1, max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_basis_properties_on_dependent_and_scaled_input(self, dim, ops):
+        tr = SubspaceTracker(dim)
+        fed = []
+        for kind, seed, exponent in ops:
+            g = np.random.default_rng(seed)
+            basis = tr.basis
+            if kind == "random" or (kind == "repeat" and not fed):
+                v = g.normal(size=dim) * 10.0**exponent
+            elif kind == "repeat":
+                v = fed[int(g.integers(len(fed)))]
+            else:
+                v = basis @ g.normal(size=tr.rank) * 10.0**exponent
+                if kind == "near_span":
+                    v = v + 1e-8 * np.linalg.norm(v) * g.normal(size=dim)
+            in_span = kind == "in_span" or (kind == "repeat" and bool(fed))
+            rank = tr.rank
+            grew = tr.extend(v)
+            fed.append(v)
+            # a vector fed before is in the span now, or was too small to count
+            assert not (grew and in_span)
+            assert tr.rank == rank + grew <= dim
+            B = tr.basis
+            assert B.shape == (dim, tr.rank)
+            assert np.abs(B.T @ B - np.eye(tr.rank)).max(initial=0.0) <= 1e-12
+            probe = g.normal(size=dim) * 10.0**exponent
+            for x in (v, probe):
+                h = tr.residual(x)
+                assert np.abs(B.T @ h).max(initial=0.0) \
+                    <= 1e-12 * np.linalg.norm(x)
+        # a vector in the span never grows it
+        if tr.rank:
+            assert not tr.extend(tr.basis @ np.ones(tr.rank))
 
 
 class TestGaussianSystem:
@@ -172,3 +219,116 @@ class TestDeterministicAdversary:
             assert "construction drifted" in str(exc)
         else:
             assert t.final_state_norm >= 2.0 ** 199
+
+
+def _recorded_ce_history(d_x, seed):
+    t = randomized_lb_trial(certainty_equivalent_controller, d_x, 40.0, seed=seed)
+    return [s.x for s in t.steps]
+
+
+class TestAgainstReference:
+    """The growable-buffer paths against the implementations they replaced
+    (tests/lowerbound_reference.py)."""
+
+    @pytest.mark.parametrize("history", [
+        pytest.param(lambda: _recorded_ce_history(800, 44), id="d_x=800"),
+        pytest.param(lambda: _recorded_ce_history(200, 45), id="d_x=200"),
+        # a repeated state makes X rank deficient, so the pinv cutoff bites
+        pytest.param(lambda: (lambda h: h[:6] + [h[5]] + h[6:])(
+            _recorded_ce_history(200, 46)), id="repeated-state"),
+        pytest.param(lambda: [np.eye(50)[0]] * 8, id="constant-state"),
+    ])
+    def test_certainty_equivalent_controls(self, history):
+        history = history()
+        ref, new = ref_certainty_equivalent_controller(), \
+            certainty_equivalent_controller()
+        for t in range(1, len(history) + 1):
+            u_ref, u_new = ref(history[:t]), new(history[:t])
+            assert np.linalg.norm(u_new - u_ref) \
+                <= 1e-13 * np.linalg.norm(u_ref)
+
+    def test_certainty_equivalent_rejects_a_skipped_state(self):
+        act = certainty_equivalent_controller()
+        x = np.ones(3)
+        act([x])
+        with pytest.raises(ValueError, match="history of 2 states"):
+            act([x, x, x])
+
+    def test_unit_outside_span(self, monkeypatch, rng):
+        calls = []
+        original = lb._unit_outside_span
+
+        def spy(rows, dim):
+            calls.append((rows.copy(), dim))
+            return original(rows, dim)
+
+        monkeypatch.setattr(lb, "_unit_outside_span", spy)
+        for name in sorted(BUILTIN_CONTROLLERS):
+            for d_x in (40, 150, 200):
+                try:
+                    deterministic_adversary(BUILTIN_CONTROLLERS[name], d_x)
+                except ConstructionDriftError:
+                    pass
+        # random orthonormal rows, and rows with exact ties
+        for t, dim in ((1, 2), (5, 9), (30, 40), (39, 40)):
+            calls.append((np.linalg.qr(rng.normal(size=(dim, t)))[0].T, dim))
+        calls.append((np.eye(7)[[0, 3]], 7))
+        assert len(calls) > 1000
+        for rows, dim in calls:
+            ref = ref_unit_outside_span(rows, dim)
+            j_ref = int(np.argmax(np.linalg.norm(np.eye(dim) - rows.T @ rows,
+                                                 axis=0)))
+            assert int(np.argmax(1.0 - np.sum(rows * rows, axis=0))) == j_ref
+            assert np.abs(original(rows, dim) - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["zero", "negative_identity",
+                                      "frozen_random"])
+    @pytest.mark.parametrize("d_x,seed", [(200, 7), (800, 8)])
+    def test_randomized_transcripts(self, monkeypatch, name, d_x, seed):
+        new = randomized_lb_trial(BUILTIN_CONTROLLERS[name], d_x, 40.0, seed=seed)
+        monkeypatch.setattr(lb, "SubspaceTracker", RefSubspaceTracker)
+        ref = randomized_lb_trial(BUILTIN_CONTROLLERS[name], d_x, 40.0, seed=seed)
+        assert new.total_cost == ref.total_cost
+        assert new.system_norm == ref.system_norm
+        for a, b in zip(new.steps, ref.steps, strict=True):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+            # h_sq / ||x||^2 reaches 5e-15, so only an absolute bound means
+            # anything
+            assert abs(a.h_sq - b.h_sq) <= 1e-12 * float(a.x @ a.x)
+            assert a.doubled == b.doubled
+
+    @pytest.mark.parametrize("d_x", [40, 150, 200])
+    def test_deterministic_coefficients(self, monkeypatch, d_x):
+        new = {}
+        for name in sorted(BUILTIN_CONTROLLERS):
+            try:
+                new[name] = deterministic_adversary(BUILTIN_CONTROLLERS[name], d_x)
+            except ConstructionDriftError:
+                new[name] = None
+        monkeypatch.setattr(lb, "_unit_outside_span", ref_unit_outside_span)
+        monkeypatch.setitem(BUILTIN_CONTROLLERS, "certainty_equivalent",
+                            ref_certainty_equivalent_controller)
+        for name in sorted(BUILTIN_CONTROLLERS):
+            try:
+                ref = deterministic_adversary(BUILTIN_CONTROLLERS[name], d_x)
+            except ConstructionDriftError:
+                # frozen_random at d_x = 200 drifts on both paths
+                assert new[name] is None and (name, d_x) == ("frozen_random", 200)
+                continue
+            assert new[name].c_diag == ref.c_diag
+            assert new[name].d_signs == ref.d_signs
+            assert new[name].total_cost == ref.total_cost
+
+    @pytest.mark.parametrize("d_x,seed", [(200, s) for s in range(4)]
+                             + [(800, 44)])
+    def test_randomized_certainty_equivalent(self, d_x, seed):
+        # the closed loop amplifies rounding through cond(X) (up to 1e79), so
+        # states may differ in late digits; the attack's outcome may not
+        new = randomized_lb_trial(certainty_equivalent_controller, d_x, 40.0,
+                                  seed=seed)
+        ref = randomized_lb_trial(ref_certainty_equivalent_controller, d_x, 40.0,
+                                  seed=seed)
+        assert [s.doubled for s in new.steps] == [s.doubled for s in ref.steps]
+        threshold = 2.0 ** (len(new.steps) - 1)
+        assert (new.final_state_norm**2 >= threshold) \
+            == (ref.final_state_norm**2 >= threshold)

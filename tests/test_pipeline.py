@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,33 @@ class TestRunPipeline:
         with pytest.raises(PhaseError, match="sysid"):
             run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 3,
                          overrides={"eps": 1e-3})
+
+    @pytest.mark.parametrize("T,overrides,certified", [
+        # worst-case constants: decay takes 8899 of the rounds, H = 19642
+        (10000, {"eps": 1e-3}, False),
+        (400, {"eps": 1e-3, "H": 16861}, True),
+    ])
+    def test_horizon_longer_than_gpc_phase(self, T, overrides, certified):
+        # the (H+1) x H window stack of phase 3 would take gigabytes, so the
+        # check must come before phase 3 allocates anything
+        sys = LinearSystem([[0.5]], [[1.0]])
+        plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), QUAD,
+                              [0.0], seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PhaseError) as info:
+                run_pipeline(plant, PriorBounds(1, 1.0, 1.0), T,
+                             overrides=overrides,
+                             use_certified_stability=certified, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.phase == "gpc"
+        message = str(info.value)
+        assert "H override" in message and "certified stability" in message
+        assert f"H={overrides.get('H', 19642)}" in message
+        assert peak < 64 * 2**20
+        assert not any(r.phase == "gpc" for r in plant.log.records)
 
     def test_decay_terminal_bound(self):
         # ||x|| after decay <= 2 kappa/gamma for the stability pair in force
@@ -265,6 +293,7 @@ class TestRunPipeline:
             "eps": 1e-3, "kappa_tilde": used["kappa"], "gamma_tilde": used["gamma"]})
         for name in ("kappa_star", "W", "H", "eta"):
             assert used[name] == getattr(cst, name)
+        assert used["H"] <= report.gpc_steps
         # an overridden kappa_star holds, and W, H and eta follow it
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), QUAD,
