@@ -326,6 +326,9 @@ def _run_pipeline_experiment(cfg, out_dir):
         "estimate_error_B": err_B,
         "K": report.recovery.K,
         "sdp_witness_norm_L": report.recovery.norm_L,
+        "sdp_iterations": report.recovery.sdp_iterations,
+        "sdp_violation": report.recovery.sdp_violation,
+        "sdp_affine_residual": report.recovery.sdp_affine_residual,
         "nu": report.recovery.constants.nu,
         "decay_steps": report.decay_steps,
         "gpc_steps": report.gpc_steps,
@@ -384,6 +387,9 @@ def _run_recover_experiment(cfg, out_dir):
         "kappa_tilde": result.kappa_tilde,
         "gamma_tilde": result.gamma_tilde,
         "witness_norm_L": result.norm_L,
+        "sdp_iterations": result.sdp_iterations,
+        "sdp_violation": result.sdp_violation,
+        "sdp_affine_residual": result.sdp_affine_residual,
         "kappa_certified": result.kappa_est,
         "gamma_certified": result.gamma_est,
         "closed_loop_spectral_radius": float(max(abs(np.linalg.eigvals(closed)))),

@@ -2,8 +2,14 @@ import csv
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 from blackbox_lds.cli import main
+from blackbox_lds.stabilize import controller_recovery
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_config(tmp_path, name, payload):
@@ -46,6 +52,9 @@ class TestPipelineCommand:
         # summary cumulative cost equals the CSV's final cumulative cost
         assert float(rows[-1]["cumulative_cost"]) == summary["cumulative_cost"]
         assert 0 <= summary["gpc_projection_active_rounds"] <= summary["gpc_steps"]
+        assert summary["sdp_iterations"] >= 1
+        assert summary["sdp_violation"] <= 1e-9
+        assert summary["sdp_affine_residual"] <= 1e-9
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write_config(tmp_path, "cfg.json", PIPELINE_CFG)
@@ -282,3 +291,27 @@ class TestSysidAndRecoverCommands:
         assert main(["recover", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads(_read(out / "summary.json"))
         assert summary["closed_loop_spectral_radius"] < 1.0
+        direct = controller_recovery([[0.5]], [[1.0]], 1e-6, 2.449489742783178,
+                                     0.08333333333333334)
+        assert summary["sdp_iterations"] == direct.sdp_iterations >= 1
+        assert summary["sdp_violation"] == direct.sdp_violation <= 1e-9
+        assert summary["sdp_affine_residual"] == direct.sdp_affine_residual <= 1e-9
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli_from_a_checkout(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-m", "blackbox_lds", "--help"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: blackbox-lds")
+        cfg = _write_config(tmp_path, "cfg.json", {
+            "experiment": "recover", "A_hat": [[0.5]], "B_hat": [[1.0]],
+            "eps": 1e-6, "kappa_prime": 2.0, "gamma_prime": 0.2})
+        run = subprocess.run([sys.executable, "-m", "blackbox_lds", "recover",
+                              "--config", cfg, "--out", "o"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(_read(tmp_path / "o" / "summary.json"))["experiment"] \
+            == "recover"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blackbox_lds import (
     BlackBoxPlant,
@@ -18,6 +22,7 @@ from blackbox_lds import (
 from blackbox_lds.errors import NotStabilizingError, SdpInfeasibleError
 from blackbox_lds.stabilize import AffineProjector, RecoveryConstants, decay_horizon
 from conftest import random_certified_pair
+from stabilize_reference import RefAffineProjector, ref_sdp_feasibility
 
 QUAD = CostFunction.quadratic()
 
@@ -91,6 +96,124 @@ class TestAffineProjection:
             assert np.allclose(again, out, atol=1e-9)
 
 
+def _sym(rng, n, scale=1.0):
+    S = rng.normal(size=(n, n)) * scale
+    return 0.5 * (S + S.T)
+
+
+def _unstable_pairs():
+    """Twelve unstable pairs (spectral radius 1.1) with the trace cap nu of
+    kappa' = 3, gamma' = 1/18, eps = 0: most are feasible at the first
+    iterate, two take thousands of Dykstra iterations, and draw 9 ends in the
+    plateau rejection at iteration 2000 although its LQR point (trace 3597
+    against nu = 11664) is feasible."""
+    g = np.random.default_rng(5)
+    for _ in range(12):
+        d_x, d_u = int(g.integers(2, 5)), int(g.integers(1, 3))
+        A = g.normal(size=(d_x, d_x))
+        A *= 1.1 / max(abs(np.linalg.eigvals(A)))
+        B = g.normal(size=(d_x, d_u))
+        B /= np.linalg.norm(B, 2)
+        yield A, B, RecoveryConstants.from_existence(3.0, 1 / 18, 0.0, d_x).nu
+
+
+class TestSvecSmat:
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.integers(-100, 100), st.integers(-100, 100))
+    @settings(max_examples=150, deadline=None)
+    def test_isometry_adjoint_and_inverse(self, d, seed, e_r, e_v):
+        # A = B = 0 gives P = I; only the coordinate maps matter here
+        proj = AffineProjector(np.zeros((d, d)), np.zeros((d, 1)))
+        g = np.random.default_rng(seed)
+        R = _sym(g, d, 10.0**e_r)
+        v = g.normal(size=d * (d + 1) // 2) * 10.0**e_v
+        eps = np.finfo(float).eps
+        r = proj.svec(R)
+        norm_R = np.linalg.norm(R)
+        assert abs(np.linalg.norm(r) - norm_R) <= 4 * eps * norm_R
+        # fsum rounds each inner product once; only the products' rounding is left
+        lhs = math.fsum(r * v)
+        rhs = math.fsum((R * proj.smat(v)).ravel())
+        assert abs(lhs - rhs) <= 4 * eps * norm_R * np.linalg.norm(v)
+        back = proj.smat(r)
+        assert np.all(np.abs(back - R) <= 4 * eps * np.abs(R))
+        assert np.array_equal(back, back.T)
+
+    @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 0.9), st.integers(-2, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_normal_matrix_is_symmetric_positive_definite(self, d_x, d_u, seed,
+                                                          radius, e_b):
+        g = np.random.default_rng(seed)
+        A = g.normal(size=(d_x, d_x))
+        A *= radius / np.linalg.norm(A, 2)
+        B = g.normal(size=(d_x, d_u)) * 10.0**e_b
+        P = AffineProjector(A, B)._P
+        eps = np.finfo(float).eps
+        assert np.abs(P - P.T).max() <= 32 * eps * np.abs(P).max()
+        eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
+        # ||F*(Lam)||_F >= ||Lam - A' Lam A||_F >= (1 - ||A||^2) ||Lam||_F
+        assert eigs[0] >= (1 - radius**2) ** 2 - 1e-12 * eigs[-1]
+
+    def test_orthogonal_A_without_input_is_rejected(self):
+        # F*(I) = 0 when A is orthogonal and B = 0
+        Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+        for cls in (AffineProjector, RefAffineProjector):
+            with pytest.raises(SdpInfeasibleError, match="rank deficient"):
+                cls(Q, np.zeros((3, 1)))
+
+
+class TestAgainstReference:
+    """The index-array svec/smat paths against the parent's per-basis-matrix
+    loops: every value must be bit-identical."""
+
+    @pytest.mark.parametrize("d_x", [1, 2, 5, 12])
+    @pytest.mark.parametrize("d_u", [1, 3])
+    def test_normal_equations(self, rng, d_x, d_u):
+        A = rng.normal(size=(d_x, d_x))
+        B = rng.normal(size=(d_x, d_u))
+        new, ref = AffineProjector(A, B), RefAffineProjector(A, B)
+        assert np.array_equal(new._P, ref._P)
+        assert np.array_equal(new._P_factor, ref._P_factor)
+        for scale in (1e-100, 1.0, 1e100):
+            for _ in range(5):
+                S = _sym(rng, d_x + d_u, scale)
+                assert np.array_equal(new.project(S), ref.project(S))
+                assert new.residual(S) == ref.residual(S)
+            # a non-symmetric input is symmetrized first on both paths
+            S = rng.normal(size=(d_x + d_u, d_x + d_u)) * scale
+            assert np.array_equal(new.project(S), ref.project(S))
+
+    def test_dykstra_iterates(self):
+        lengths = []
+        for A, B, nu in _unstable_pairs():
+            runs = []
+            for solve in (sdp_feasibility, ref_sdp_feasibility):
+                seen = []
+                try:
+                    sigma = solve(A, B, nu, on_iteration=lambda it, v: seen.append((it, v)))
+                    end = [sigma.sigma, extract_controller(sigma)]
+                except SdpInfeasibleError as exc:
+                    end = [exc.iterations, exc.residual]
+                runs.append((seen, end))
+            (seen, end), (seen_ref, end_ref) = runs
+            assert seen == seen_ref
+            assert all(np.array_equal(a, b) for a, b in zip(end, end_ref))
+            lengths.append(len(seen))
+        assert sum(n > 1000 for n in lengths) >= 3
+
+    def test_infeasible_pair(self):
+        errors = []
+        for solve in (sdp_feasibility, ref_sdp_feasibility):
+            with pytest.raises(SdpInfeasibleError) as err:
+                solve([[2.0]], [[0.0]], 5.0)
+            errors.append(err.value)
+        new, ref = errors
+        assert new.iterations == ref.iterations
+        assert new.residual == ref.residual
+        assert str(new) == str(ref)
+
+
 class TestSdpFeasibility:
     def test_scalar_trivial(self):
         sigma = sdp_feasibility([[0.0]], [[1.0]], 3.0)
@@ -153,6 +276,25 @@ class TestControllerRecovery:
         rho = abs(0.5 + result.K[0, 0])
         assert rho < 1.0
         assert rho <= 1 - 1 / (2 * result.constants.nu) + 1e-6
+
+    def test_solver_counters_match_a_direct_solve(self):
+        lengths = []
+        for A, B, nu in _unstable_pairs():
+            seen = []
+            try:
+                sigma = sdp_feasibility(A, B, nu, on_iteration=lambda it, v: seen.append(v))
+            except SdpInfeasibleError:
+                with pytest.raises(SdpInfeasibleError):
+                    controller_recovery(A, B, 0.0, 3.0, 1 / 18)
+                continue
+            result = controller_recovery(A, B, 0.0, 3.0, 1 / 18)
+            assert result.constants.nu == nu
+            assert result.sdp_iterations == len(seen)
+            assert result.sdp_violation == seen[-1] <= 1e-9
+            assert result.sdp_affine_residual \
+                == AffineProjector(A, B).residual(sigma.sigma) <= 1e-9
+            lengths.append(len(seen))
+        assert sum(n > 1000 for n in lengths) >= 2
 
     def test_nu_precondition(self):
         with pytest.raises(ValueError):
