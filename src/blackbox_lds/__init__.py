@@ -21,11 +21,10 @@ from .lds import (
     certify_strong_stability,
     controllability_matrix,
     min_energy_controls,
-    simulate,
     step,
     strong_controllability_check,
 )
-from .plant import BlackBoxPlant
+from .plant import BlackBoxPlant, simulate
 from .sysid import EstimateBundle, ProbePlan, adv_sys_id, epsilon_zero, probe_plan
 from .stabilize import (
     SdpBlockMatrix,

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import lowerbound as lb
-from .errors import BlackBoxControlError, ConfigError, PhaseError
+from .errors import BlackBoxControlError, ConfigError
 from .lds import (
     ClippedGaussianDisturbance,
     CostFunction,
@@ -38,7 +38,7 @@ from .lds import (
 from .pipeline import derive_constants, run_pipeline
 from .plant import BlackBoxPlant
 from .stabilize import controller_recovery
-from .sysid import adv_sys_id
+from .sysid import adv_sys_id, probe_horizon
 
 log = logging.getLogger("blackbox_lds")
 
@@ -67,8 +67,13 @@ def _verbose_to_stderr():
 
 # -- config schema ------------------------------------------------------------
 
-_DIST_KINDS = {"zero", "clipped_gaussian", "sinusoidal", "sign_adversarial"}
-_COST_KINDS = {"quadratic", "weighted_quadratic"}
+# the keys an object may hold, by its "kind"
+_PLANT_KEYS = {"explicit": {"kind", "A", "B", "x1"},
+               "random": {"kind", "d_x", "d_u", "spectral_radius", "seed"}}
+_DIST_KEYS = dict.fromkeys(("zero", "clipped_gaussian", "sinusoidal",
+                            "sign_adversarial"),
+                           {"kind", "scale", "omega", "amplitude", "phases"})
+_COST_KEYS = dict.fromkeys(("quadratic", "weighted_quadratic"), {"kind", "Q", "R"})
 
 _SCHEMAS = {
     "pipeline": {
@@ -101,6 +106,28 @@ def _require(cond, path, msg):
         raise ConfigError(path, msg)
 
 
+def _require_object(obj, path, keys):
+    """obj is a JSON object with no key outside keys; keys given as a dict
+    map each allowed "kind" to the keys of that kind."""
+    if isinstance(keys, dict):
+        _require(isinstance(obj, dict) and "kind" in obj, path,
+                 "must be an object with a 'kind'")
+        _require(obj["kind"] in keys, f"{path}.kind", f"must be one of {sorted(keys)}")
+        keys = keys[obj["kind"]]
+    else:
+        _require(isinstance(obj, dict), path, "must be an object")
+    for key in obj:
+        _require(key in keys, f"{path}.{key}", "unknown key")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def validate_config(subcommand: str, cfg: dict) -> dict:
     _require(subcommand in _SCHEMAS, "experiment", f"unknown subcommand {subcommand}")
     schema = _SCHEMAS[subcommand]
@@ -117,33 +144,26 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
         _validate_plant(cfg["plant"])
     if "prior" in cfg:
         p = cfg["prior"]
-        _require(isinstance(p, dict), "prior", "must be an object")
-        for key in p:
-            _require(key in {"k", "kappa", "beta"}, f"prior.{key}", "unknown key")
+        _require_object(p, "prior", {"k", "kappa", "beta"})
         for key in ("k", "kappa", "beta"):
             _require(key in p, f"prior.{key}", "missing required key")
-        _require(isinstance(p["k"], int) and p["k"] >= 1, "prior.k",
-                 "must be a positive integer")
+        _require(_is_count(p["k"]), "prior.k", "must be a positive integer")
+        for key in ("kappa", "beta"):
+            _require(_is_number(p[key]), f"prior.{key}", "must be a number")
     if "horizon" in cfg:
-        _require(isinstance(cfg["horizon"], int) and cfg["horizon"] >= 1,
-                 "horizon", "must be a positive integer")
+        _require(_is_count(cfg["horizon"]), "horizon", "must be a positive integer")
     if "disturbance" in cfg:
         d = cfg["disturbance"]
-        _require(isinstance(d, dict) and "kind" in d, "disturbance",
-                 "must be an object with a 'kind'")
-        _require(d["kind"] in _DIST_KINDS, "disturbance.kind",
-                 f"must be one of {sorted(_DIST_KINDS)}")
-        for key in d:
-            _require(key in {"kind", "scale", "omega", "amplitude", "phases"},
-                     f"disturbance.{key}", "unknown key")
+        _require_object(d, "disturbance", _DIST_KEYS)
+        for key in ("scale", "omega", "amplitude"):
+            _require(_is_number(d.get(key, 0.0)), f"disturbance.{key}",
+                     "must be a number")
+        phases = d.get("phases", 0.0)
+        _require(_is_number(phases) or (isinstance(phases, list) and all(
+            _is_number(v) for v in phases)), "disturbance.phases",
+            "must be a number or a list of numbers")
     if "cost" in cfg:
-        c = cfg["cost"]
-        _require(isinstance(c, dict) and "kind" in c, "cost",
-                 "must be an object with a 'kind'")
-        _require(c["kind"] in _COST_KINDS, "cost.kind",
-                 f"must be one of {sorted(_COST_KINDS)}")
-        for key in c:
-            _require(key in {"kind", "Q", "R"}, f"cost.{key}", "unknown key")
+        _require_object(cfg["cost"], "cost", _COST_KEYS)
     if "overrides" in cfg:
         _require(isinstance(cfg["overrides"], dict), "overrides",
                  "must be an object")
@@ -151,28 +171,28 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
         for key, value in cfg["overrides"].items():
             _require(key in _DERIVABLE, f"overrides.{key}",
                      f"unknown constant (expected one of {sorted(_DERIVABLE)})")
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     f"overrides.{key}", "must be a number")
+            _require(_is_number(value), f"overrides.{key}", "must be a number")
     if "options" in cfg:
-        o = cfg["options"]
-        _require(isinstance(o, dict), "options", "must be an object")
-        for key in o:
-            _require(key in {"use_certified_stability", "reidentify",
-                             "comparator_iters"}, f"options.{key}", "unknown key")
+        o = cfg["options"]  # run_pipeline's keyword arguments
+        _require_object(o, "options", {"use_certified_stability", "reidentify",
+                                       "comparator_iters"})
+        for key in ("use_certified_stability", "reidentify"):
+            _require(isinstance(o.get(key, False), bool), f"options.{key}",
+                     "must be true or false")
+        _require(_is_count(o.get("comparator_iters", 1)), "options.comparator_iters",
+                 "must be a positive integer")
     for key in ("A_hat", "B_hat"):
         if key in cfg:
             _require(isinstance(cfg[key], list), key,
                      "must be a matrix as nested lists")
     for key in ("eps", "kappa_prime", "gamma_prime", "gamma"):
         if key in cfg:
-            _require(isinstance(cfg[key], (int, float))
-                     and not isinstance(cfg[key], bool), key, "must be a number")
+            _require(_is_number(cfg[key]), key, "must be a number")
     if "controller" in cfg:
         _require(cfg["controller"] in lb.BUILTIN_CONTROLLERS, "controller",
                  f"must be one of {sorted(lb.BUILTIN_CONTROLLERS)}")
     if "d_x" in cfg:
-        _require(isinstance(cfg["d_x"], int) and cfg["d_x"] >= 1, "d_x",
-                 "must be a positive integer")
+        _require(_is_count(cfg["d_x"]), "d_x", "must be a positive integer")
     if subcommand in {"pipeline", "sysid", "lowerbound-rand"}:
         _require("seed" in cfg and isinstance(cfg["seed"], int), "seed",
                  "a seed is mandatory for randomized experiments")
@@ -180,23 +200,15 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
 
 
 def _validate_plant(p):
-    _require(isinstance(p, dict) and "kind" in p, "plant",
-             "must be an object with a 'kind'")
+    _require_object(p, "plant", _PLANT_KEYS)
     if p["kind"] == "explicit":
-        for key in p:
-            _require(key in {"kind", "A", "B", "x1"}, f"plant.{key}", "unknown key")
         for key in ("A", "B"):
             _require(key in p and isinstance(p[key], list), f"plant.{key}",
                      "must be a matrix as nested lists")
-    elif p["kind"] == "random":
-        for key in p:
-            _require(key in {"kind", "d_x", "d_u", "spectral_radius", "seed"},
-                     f"plant.{key}", "unknown key")
-        for key in ("d_x", "d_u"):
-            _require(key in p and isinstance(p[key], int) and p[key] >= 1,
-                     f"plant.{key}", "must be a positive integer")
     else:
-        raise ConfigError("plant.kind", "must be 'explicit' or 'random'")
+        for key in ("d_x", "d_u"):
+            _require(_is_count(p.get(key)), f"plant.{key}",
+                     "must be a positive integer")
 
 
 # -- builders -----------------------------------------------------------------
@@ -269,53 +281,51 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, rows):
+def _write_csv(path, steps) -> float:
+    """Write one row per (t, phase, x, u, cost) step, with the norms of x
+    and u and the running cost; returns the final running cost."""
+    running = 0.0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,phase,state_norm,control_norm,cost,cumulative_cost\n")
-        for t, phase, xn, un, c, cc in rows:
-            fh.write(f"{t},{phase},{_g17(xn)},{_g17(un)},{_g17(c)},{_g17(cc)}\n")
+        for t, phase, x, u, c in steps:
+            running += c
+            fh.write(f"{t},{phase},{_g17(np.linalg.norm(x))},"
+                     f"{_g17(np.linalg.norm(u))},{_g17(c)},{_g17(running)}\n")
+    return running
 
 
-def _rows_from_log(log):
-    rows = []
-    running = 0.0
-    for r in log.records:
-        running += r.cost
-        rows.append((r.t, r.phase, float(np.linalg.norm(r.x)),
-                     float(np.linalg.norm(r.u)), r.cost, running))
-    return rows
+def _log_steps(log):
+    return ((r.t, r.phase, r.x, r.u, r.cost) for r in log.records)
+
+
+def _transcript_steps(transcript, phase):
+    # the adversaries charge ||x||^2 + ||u||^2
+    return ((s.t, phase, s.x, s.u, float(s.x @ s.x + s.u @ s.u))
+            for s in transcript.steps)
 
 
 # -- experiments --------------------------------------------------------------
+# Each runner returns its (t, phase, x, u, cost) steps and its own summary
+# fields; dispatch writes steps.csv and summary.json.
 
-def _run_pipeline_experiment(cfg, out_dir):
+def _run_pipeline_experiment(cfg):
     seed = cfg["seed"]
     sys_true, x1 = _build_system(cfg["plant"], seed)
     dist = _build_disturbance(cfg.get("disturbance"), sys_true.d_x, seed)
     cost = _build_cost(cfg.get("cost"))
     prior = PriorBounds(**cfg["prior"])
-    opts = cfg.get("options", {})
     plant = BlackBoxPlant(sys_true, dist, cost, x1, seed=seed)
-    report = run_pipeline(
-        plant, prior, cfg["horizon"], overrides=cfg.get("overrides"),
-        use_certified_stability=opts.get("use_certified_stability", False),
-        reidentify=opts.get("reidentify", False),
-        comparator_iters=opts.get("comparator_iters", 200),
-        seed=seed, config_echo=cfg)
-    rows = _rows_from_log(report.log)
-    _write_csv(os.path.join(out_dir, "steps.csv"), rows)
+    report = run_pipeline(plant, prior, cfg["horizon"],
+                          overrides=cfg.get("overrides"), seed=seed,
+                          **cfg.get("options", {}))
     err_A = float(np.linalg.norm(report.estimates.A_hat - sys_true.A, 2))
     err_B = float(np.linalg.norm(report.estimates.B_hat - sys_true.B, 2))
-    summary = {
-        "experiment": "pipeline",
-        "seed": seed,
-        "config": cfg,
+    return _log_steps(report.log), {
         "constants": report.constants.as_dict(),
         "constants_provenance": report.constants.provenance,
         "stability_used": report.stability_used,
         "phase_costs": report.phase_costs,
         "total_cost": report.total_cost,
-        "cumulative_cost": rows[-1][-1] if rows else 0.0,
         "regret": report.regret_value,
         "comparator_cost": report.comparator.cost if report.comparator else None,
         "comparator_converged": report.comparator.converged
@@ -336,27 +346,22 @@ def _run_pipeline_experiment(cfg, out_dir):
         "x_after_sysid_norm": report.x_after_sysid_norm,
         "x_after_decay_norm": report.x_after_decay_norm,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
-def _run_sysid_experiment(cfg, out_dir):
+def _run_sysid_experiment(cfg):
     seed = cfg["seed"]
     sys_true, x1 = _build_system(cfg["plant"], seed)
     dist = _build_disturbance(cfg.get("disturbance"), sys_true.d_x, seed)
     cost = _build_cost(cfg.get("cost"))
     prior = PriorBounds(**cfg["prior"])
-    T1 = sys_true.d_u * (prior.k + 1) + 1
+    # the constants of the shortest horizon run_pipeline accepts, T = T1 + 1
     cst = derive_constants(prior.k, prior.kappa, prior.beta, sys_true.d_x,
-                           sys_true.d_u, T=T1 + 1, overrides=cfg.get("overrides"))
+                           sys_true.d_u, T=probe_horizon(prior.k, sys_true.d_u) + 2,
+                           overrides=cfg.get("overrides"))
     eps = float(cfg.get("eps", cst.eps))
     plant = BlackBoxPlant(sys_true, dist, cost, x1, seed=seed)
     bundle = adv_sys_id(plant, eps, cst.lam, prior.k, prior.kappa)
-    rows = _rows_from_log(plant.log)
-    _write_csv(os.path.join(out_dir, "steps.csv"), rows)
-    summary = {
-        "experiment": "sysid",
-        "seed": seed,
-        "config": cfg,
+    return _log_steps(plant.log), {
         "eps": eps,
         "lam": cst.lam,
         "A_hat": bundle.A_hat,
@@ -365,23 +370,17 @@ def _run_sysid_experiment(cfg, out_dir):
         "estimate_error_B": float(np.linalg.norm(bundle.B_hat - sys_true.B, 2)),
         "x_final_norm": float(np.linalg.norm(bundle.x_final)),
         "total_cost": plant.total_cost,
-        "cumulative_cost": rows[-1][-1] if rows else 0.0,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
-def _run_recover_experiment(cfg, out_dir):
+def _run_recover_experiment(cfg):
     A_hat = np.array(cfg["A_hat"], dtype=float)
     B_hat = np.array(cfg["B_hat"], dtype=float)
     result = controller_recovery(A_hat, B_hat, float(cfg["eps"]),
                                  float(cfg["kappa_prime"]),
                                  float(cfg["gamma_prime"]))
-    _write_csv(os.path.join(out_dir, "steps.csv"), [])
     closed = A_hat + (B_hat.reshape(A_hat.shape[0], -1)) @ result.K
-    summary = {
-        "experiment": "recover",
-        "seed": cfg.get("seed"),
-        "config": cfg,
+    return [], {
         "K": result.K,
         "nu": result.constants.nu,
         "kappa_tilde": result.kappa_tilde,
@@ -394,34 +393,15 @@ def _run_recover_experiment(cfg, out_dir):
         "gamma_certified": result.gamma_est,
         "closed_loop_spectral_radius": float(max(abs(np.linalg.eigvals(closed)))),
         "total_cost": 0.0,
-        "cumulative_cost": 0.0,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
-def _transcript_rows(transcript, phase):
-    rows = []
-    running = 0.0
-    for s in transcript.steps:
-        c = float(s.x @ s.x + s.u @ s.u)
-        running += c
-        rows.append((s.t, phase, float(np.linalg.norm(s.x)),
-                     float(np.linalg.norm(s.u)), c, running))
-    return rows
-
-
-def _run_lowerbound_rand(cfg, out_dir):
-    seed = cfg["seed"]
+def _run_lowerbound_rand(cfg):
     factory = lb.BUILTIN_CONTROLLERS[cfg.get("controller", "zero")]
     transcript = lb.randomized_lb_trial(factory, cfg["d_x"],
                                         gamma=float(cfg.get("gamma", 40.0)),
-                                        seed=seed)
-    rows = _transcript_rows(transcript, "lowerbound-rand")
-    _write_csv(os.path.join(out_dir, "steps.csv"), rows)
-    summary = {
-        "experiment": "lowerbound-rand",
-        "seed": seed,
-        "config": cfg,
+                                        seed=cfg["seed"])
+    return _transcript_steps(transcript, "lowerbound-rand"), {
         "d_x": transcript.d_x,
         "gamma": transcript.gamma,
         "controller": cfg.get("controller", "zero"),
@@ -433,20 +413,13 @@ def _run_lowerbound_rand(cfg, out_dir):
         "system_spectral_norm": transcript.system_norm,
         "system_norm_threshold": 3.0 * math.sqrt(transcript.gamma),
         "total_cost": transcript.total_cost,
-        "cumulative_cost": rows[-1][-1] if rows else 0.0,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
-def _run_lowerbound_det(cfg, out_dir):
+def _run_lowerbound_det(cfg):
     factory = lb.BUILTIN_CONTROLLERS[cfg.get("controller", "zero")]
     transcript = lb.deterministic_adversary(factory, cfg["d_x"])
-    rows = _transcript_rows(transcript, "lowerbound-det")
-    _write_csv(os.path.join(out_dir, "steps.csv"), rows)
-    summary = {
-        "experiment": "lowerbound-det",
-        "seed": cfg.get("seed"),
-        "config": cfg,
+    return _transcript_steps(transcript, "lowerbound-det"), {
         "d_x": transcript.d_x,
         "controller": cfg.get("controller", "zero"),
         "final_state_norm": transcript.final_state_norm,
@@ -455,9 +428,7 @@ def _run_lowerbound_det(cfg, out_dir):
         "c_diag": [float(v) for v in transcript.c_diag],
         "d_signs": [float(v) for v in transcript.d_signs],
         "total_cost": transcript.total_cost,
-        "cumulative_cost": rows[-1][-1] if rows else 0.0,
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
 _RUNNERS = {
@@ -474,7 +445,11 @@ def dispatch(subcommand: str, cfg: dict, out_dir: str) -> None:
     cfg = validate_config(subcommand, cfg)
     os.makedirs(out_dir, exist_ok=True)
     _say(f"running {subcommand} -> {out_dir}")
-    _RUNNERS[subcommand](cfg, out_dir)
+    steps, summary = _RUNNERS[subcommand](cfg)
+    summary.update(experiment=subcommand, seed=cfg.get("seed"), config=cfg,
+                   cumulative_cost=_write_csv(os.path.join(out_dir, "steps.csv"),
+                                              steps))
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
 
 # -- argument handling --------------------------------------------------------
@@ -559,12 +534,9 @@ def _run(args) -> int:
         print(json.dumps({"error": {"kind": "config", "path": exc.path,
                                     "message": str(exc)}}, sort_keys=True))
         return 2
-    except PhaseError as exc:
-        print(json.dumps({"error": {"kind": "runtime", "phase": exc.phase,
-                                    "message": str(exc)}}, sort_keys=True))
-        return 1
     except (BlackBoxControlError, ValueError) as exc:
-        print(json.dumps({"error": {"kind": "runtime", "phase": None,
+        print(json.dumps({"error": {"kind": "runtime",
+                                    "phase": getattr(exc, "phase", None),
                                     "message": str(exc)}}, sort_keys=True))
         return 1
     return 0

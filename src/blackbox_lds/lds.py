@@ -1,5 +1,7 @@
 """Core linear-dynamical-system model: plant data types, disturbance and cost
-abstractions, the simulation loop, and controllability / stability primitives.
+abstractions, the trajectory record, the one-step transition, and
+controllability / stability primitives. The stepping loop itself lives in
+plant.py (BlackBoxPlant.apply, driven by simulate).
 
 Conventions: matrix norms are spectral, vector norms Euclidean. States evolve as
 x_{t+1} = A x_t + B u_t + w_t with bounded disturbances ||w_t|| <= 1.
@@ -16,7 +18,6 @@ import numpy as np
 from .errors import (
     CertificateError,
     DimensionMismatchError,
-    NonFiniteValueError,
     NotControllableError,
 )
 
@@ -257,27 +258,25 @@ class StepRecord:
 
 @dataclass
 class RunLog:
-    """Per-step trajectory records plus running cost, in round order."""
+    """Per-step trajectory records plus the running cost, overall and per
+    phase (phases in order of first appearance), each summed one record at
+    a time in round order."""
 
     records: list = field(default_factory=list)
     cumulative_cost: float = 0.0
     seed: Optional[int] = None
+    phase_costs: dict = field(default_factory=dict)
 
     def append(self, record: StepRecord):
         if self.records and record.t != self.records[-1].t + 1:
             raise ValueError("records must be contiguous in t")
         self.records.append(record)
         self.cumulative_cost += record.cost
+        self.phase_costs[record.phase] = (self.phase_costs.get(record.phase, 0.0)
+                                          + record.cost)
 
     def __len__(self):
         return len(self.records)
-
-    def phase_cost(self, phase: str) -> float:
-        total = 0.0
-        for r in self.records:
-            if r.phase == phase:
-                total += r.cost
-        return total
 
     def states(self) -> np.ndarray:
         return np.array([r.x for r in self.records])
@@ -288,9 +287,6 @@ class RunLog:
     def disturbances(self) -> np.ndarray:
         return np.array([r.w for r in self.records])
 
-    def costs(self) -> np.ndarray:
-        return np.array([r.cost for r in self.records])
-
 
 def step(sys: LinearSystem, x, u, w) -> np.ndarray:
     """One transition x_{t+1} = A x + B u + w."""
@@ -298,33 +294,6 @@ def step(sys: LinearSystem, x, u, w) -> np.ndarray:
     u = _as_vector(u, sys.d_u, "control")
     w = _as_vector(w, sys.d_x, "disturbance")
     return sys.A @ x + sys.B @ u + w
-
-
-def simulate(sys: LinearSystem, controller, dist: DisturbanceSource,
-             costs: CostSpec, T: int, x1, phase: str = "sim",
-             seed: Optional[int] = None) -> RunLog:
-    """Roll the closed loop for T rounds from x1.
-
-    The controller is a callback (t, x_t) -> u_t and never sees (A, B); it
-    observes only the state trajectory. Disturbances are drawn before the
-    control takes effect, i.e. w_t may depend on x_t but not u_t.
-    """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    log = RunLog(seed=seed)
-    x = _as_vector(x1, sys.d_x, "initial state")
-    for t in range(1, T + 1):
-        u = np.asarray(controller(t, x.copy()), dtype=float).reshape(-1)
-        if u.shape != (sys.d_u,):
-            raise DimensionMismatchError("control", (sys.d_u,), u.shape)
-        if not np.isfinite(u).all():
-            raise NonFiniteValueError("control", t)
-        w = _as_vector(dist(t, x), sys.d_x, "disturbance")
-        c = cost_at(costs, t).value(x, u)
-        log.append(StepRecord(t=t, x=x.copy(), u=u.copy(), w=w.copy(),
-                              cost=float(c), phase=phase))
-        x = step(sys, x, u, w)
-    return log
 
 
 def controllability_matrix(sys: LinearSystem, k: int) -> np.ndarray:

@@ -29,7 +29,7 @@ descent with backtracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -387,7 +387,6 @@ class HindsightResult:
     grad_norm: float
     iterations: int
     converged: bool
-    cost_history: list = field(default_factory=list)
 
 
 def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
@@ -401,7 +400,6 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
     params = DacParams.zeros(H, sys.d_u, sys.d_x)
     J, g = _dac_cost_and_gradient(sys, K, params.M, w_seq, costs, x1)
     step = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
-    history = [J]
     pg_norm = math.inf
     converged = False
     it = 0
@@ -419,7 +417,6 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
                 moved = True
                 break
             step *= 0.5
-        history.append(J)
         if not moved or pg_norm <= grad_tol:
             converged = True
             break
@@ -429,5 +426,4 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
         _, g = _dac_cost_and_gradient(sys, K, params.M, w_seq, costs, x1)
         step *= 1.5
     return HindsightResult(params=params, cost=J, grad_norm=pg_norm,
-                           iterations=it, converged=converged,
-                           cost_history=history)
+                           iterations=it, converged=converged)

@@ -20,8 +20,12 @@ from .errors import ComparatorUnavailableError, PhaseError, ProbeScalingError
 from .lds import PriorBounds, RunLog
 from .nsc import GpcResult, HindsightResult, best_dac_in_hindsight, gpc_run
 from .plant import BlackBoxPlant
-from .stabilize import RecoveryResult, controller_recovery, decay
-from .sysid import EstimateBundle, adv_sys_id, epsilon_zero, probe_plan
+from .stabilize import RecoveryConstants, RecoveryResult, controller_recovery, decay
+from .sysid import EstimateBundle, adv_sys_id, epsilon_zero, probe_horizon, probe_plan
+
+# Memory phase 3 may take for its (H+1) x H gather index and the (H+1) x H
+# x d_x window stack it builds every round.
+GPC_STACK_BUDGET = 512 * 2**20
 
 _DERIVABLE = ("lam", "C", "kappa_prime", "gamma_prime", "eps", "eps0", "nu",
               "kappa_tilde", "gamma_tilde", "kappa_star", "W", "H", "eta", "T0")
@@ -98,21 +102,15 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
                 f"supply eps override ({exc})")
 
     eps0 = resolve("eps0", eps0_formula, "eps", "lam")
-    margin = gamma_prime - 2.0 * eps * kappa_prime**2
-    if margin <= 0.0:
-        raise ValueError("gamma' must exceed 2 eps kappa'^2: choose a smaller eps")
-    nu = resolve("nu", lambda: 2.0 * kappa_prime**4 * d_x / margin,
-                 "kappa_prime", "gamma_prime", "eps")
-    kappa_tilde = resolve(
-        "kappa_tilde",
-        lambda: 2.0 * kappa_prime**2 * math.sqrt(d_x) / math.sqrt(gamma_prime),
-        "kappa_prime", "gamma_prime")
-    gamma_tilde = resolve(
-        "gamma_tilde", lambda: gamma_prime / (16.0 * d_x * kappa_prime**4),
-        "kappa_prime", "gamma_prime")
+    existence = RecoveryConstants.from_existence(kappa_prime, gamma_prime, eps, d_x)
+    nu = resolve("nu", lambda: existence.nu, "kappa_prime", "gamma_prime", "eps")
+    kappa_tilde = resolve("kappa_tilde", lambda: existence.kappa_tilde,
+                          "kappa_prime", "gamma_prime")
+    gamma_tilde = resolve("gamma_tilde", lambda: existence.gamma_tilde,
+                          "kappa_prime", "gamma_prime")
     kappa_star, W, H, eta = _phase3_constants(resolve, k, kappa, beta,
                                               kappa_tilde, gamma_tilde, T, G)
-    T1 = d_u * (k + 1) + 1
+    T1 = probe_horizon(k, d_u) + 1
     T0 = int(resolve("T0", lambda: math.ceil(T ** (2.0 / 3.0))))
     consts = PhaseConstants(
         k=k, kappa=float(kappa), beta=float(beta), d_x=d_x, d_u=d_u, T=T, G=G,
@@ -184,7 +182,6 @@ class PipelineReport:
     regret_value: Optional[float] = None
     gpc_result: Optional[GpcResult] = None
     seed: Optional[int] = None
-    config_echo: dict = field(default_factory=dict)
 
 
 def regret(report: PipelineReport) -> float:
@@ -201,8 +198,7 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
                  use_certified_stability: bool = False,
                  reidentify: bool = False,
                  comparator_iters: int = 200,
-                 seed: Optional[int] = None,
-                 config_echo: Optional[dict] = None) -> PipelineReport:
+                 seed: Optional[int] = None) -> PipelineReport:
     """Run all three phases on the live plant.
 
     Phases observe only states and costs. With use_certified_stability, the
@@ -215,9 +211,10 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
 
     The comparator (hence regret) is computed only in simulation mode, by
     replaying the recorded disturbances through the true system. A DAC
-    horizon H longer than the rounds left for phase 3 raises PhaseError("gpc")
-    before phase 3 allocates anything; the worst-case constants give such an
-    H (about 19600 on a scalar plant at T = 10000).
+    horizon H longer than the rounds left for phase 3, or one whose window
+    stacks would exceed GPC_STACK_BUDGET, raises PhaseError("gpc") before
+    phase 3 allocates anything; the worst-case constants give such an H
+    (about 19600 on a scalar plant at T = 10000, 20840 at T = 40000).
     """
     G = plant.cost_scale
     if constants is None:
@@ -278,11 +275,14 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     if reidentify:
         A_p3, B_p3, spent = _reidentify(plant, recovery.K, cst.T0, T3, seed)
         T_gpc = T3 - spent
-    if H > T_gpc:
-        # phase 3 builds (H+1) x H window stacks: gigabytes at such an H
-        raise PhaseError("gpc", f"DAC horizon H={H} exceeds the {T_gpc} rounds "
-                         f"left for GPC ({source} stability constants); lower "
-                         "it with the H override or use certified stability")
+    stack_bytes = 8 * (H + 1) * H * (plant.d_x + 1)
+    if H > T_gpc or stack_bytes > GPC_STACK_BUDGET:
+        why = (f"exceeds the {T_gpc} rounds left for GPC" if H > T_gpc else
+               f"needs {stack_bytes / 2**20:.0f} MiB of window stacks, over the "
+               f"{GPC_STACK_BUDGET // 2**20} MiB budget")
+        raise PhaseError("gpc", f"DAC horizon H={H} {why} ({source} stability "
+                         "constants); lower it with the H override or use "
+                         "certified stability")
     try:
         gpc = gpc_run(plant, recovery.K, kappa_star, gamma_use, H, eta,
                       T_gpc, A_p3, B_p3)
@@ -290,11 +290,8 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         raise PhaseError("gpc", str(exc)) from exc
 
     log = plant.log if plant.simulation_mode else None
-    phase_costs = {}
+    phase_costs = dict(log.phase_costs) if log is not None else {}
     total = plant.total_cost
-    if log is not None:
-        for r in log.records:
-            phase_costs[r.phase] = phase_costs.get(r.phase, 0.0) + r.cost
 
     comparator = None
     regret_value = None
@@ -313,8 +310,7 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         x_after_sysid_norm=float(np.linalg.norm(x_after_sysid)),
         x_after_decay_norm=float(np.linalg.norm(dec.x_final)),
         simulation_mode=plant.simulation_mode, comparator=comparator,
-        regret_value=regret_value, gpc_result=gpc, seed=seed,
-        config_echo=dict(config_echo or {}))
+        regret_value=regret_value, gpc_result=gpc, seed=seed)
 
 
 def _reidentify(plant: BlackBoxPlant, K, T0: int, T3: int, seed):

@@ -1,10 +1,13 @@
-"""Interactive single-trajectory plant.
+"""Interactive single-trajectory plant, and the closed-loop simulation that
+drives it.
 
 The plant enforces the black-box contract: callers observe states and pay
 costs, and only after the control is committed is the revealed cost function
 made available. The true system, the applied disturbances, and the full log
 stay private during the run; in simulation mode they can be inspected
-afterwards for verification and regret reporting.
+afterwards for verification and regret reporting. BlackBoxPlant.apply is
+the only code that plays a round: it validates the control, pays c_t, draws
+w_t, steps and records.
 """
 
 from __future__ import annotations
@@ -132,3 +135,21 @@ class BlackBoxPlant:
     @property
     def total_cost(self) -> float:
         return self._log.cumulative_cost
+
+
+def simulate(sys: LinearSystem, controller, dist: DisturbanceSource,
+             costs: CostSpec, T: int, x1, phase: str = "sim",
+             seed: Optional[int] = None) -> RunLog:
+    """Roll the closed loop for T rounds from x1 on a BlackBoxPlant.
+
+    The controller is a callback (t, x_t) -> u_t and never sees (A, B); it
+    observes only the state trajectory, through a private copy. Disturbances
+    are drawn before the control takes effect, i.e. w_t may depend on x_t
+    but not u_t.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    plant = BlackBoxPlant(sys, dist, costs, x1, seed=seed)
+    for t in range(1, T + 1):
+        plant.apply(controller(t, plant.state), phase)
+    return plant.log

@@ -56,10 +56,6 @@ class SdpBlockMatrix:
     def xu(self) -> np.ndarray:
         return self.sigma[: self.d_x, self.d_x:]
 
-    @property
-    def uu(self) -> np.ndarray:
-        return self.sigma[self.d_x:, self.d_x:]
-
 
 @dataclass(frozen=True)
 class RecoveryConstants:
@@ -80,8 +76,8 @@ class RecoveryConstants:
                        d_x: int) -> "RecoveryConstants":
         margin = gamma_prime - 2.0 * eps * kappa_prime**2
         if margin <= 0.0:
-            raise ValueError(
-                "gamma' must exceed 2 eps kappa'^2 (nu denominator nonpositive)")
+            raise ValueError("gamma' must exceed 2 eps kappa'^2 (nu denominator "
+                             "nonpositive): choose a smaller eps")
         nu = 2.0 * kappa_prime**4 * d_x / margin
         kappa_tilde = 2.0 * kappa_prime**2 * math.sqrt(d_x) / math.sqrt(gamma_prime)
         gamma_tilde = gamma_prime / (16.0 * d_x * kappa_prime**4)
@@ -123,6 +119,17 @@ def project_psd_trace(S, nu: float) -> np.ndarray:
     return _symmetrize((U * w) @ U.T)
 
 
+def _affine_map(G, S):
+    """F(Sigma) = Sigma_xx - G Sigma G' for G = [A_hat B_hat]."""
+    d_x = G.shape[0]
+    return S[:d_x, :d_x] - G @ S @ G.T
+
+
+def _affine_residual(G, S) -> float:
+    """||Sigma_xx - G Sigma G' - I||_F."""
+    return float(np.linalg.norm(_affine_map(G, S) - np.eye(G.shape[0])))
+
+
 class AffineProjector:
     """Frobenius projection onto {Sigma symmetric : F(Sigma) = I} where
     F(Sigma) = Sigma_xx - G Sigma G' and G = [A_hat B_hat].
@@ -144,8 +151,9 @@ class AffineProjector:
         self._upper = np.triu_indices(self.d_x, 1)
         self._eye = np.eye(self.d_x)
         m = self.d_x * (self.d_x + 1) // 2
-        P = np.column_stack([self.svec(self._F(self._F_adjoint(self.smat(e))))
-                             for e in np.eye(m)])
+        P = np.column_stack([
+            self.svec(_affine_map(self.G, self._F_adjoint(self.smat(e))))
+            for e in np.eye(m)])
         cond = np.linalg.cond(P)
         if not np.isfinite(cond) or cond > 1e14:
             raise SdpInfeasibleError("affine constraint operator is rank deficient")
@@ -164,9 +172,6 @@ class AffineProjector:
         out[self._upper] = out[self._upper[::-1]] = _INV_SQRT2 * v[self.d_x:]
         return out
 
-    def _F(self, S):
-        return S[: self.d_x, : self.d_x] - self.G @ S @ self.G.T
-
     def _F_adjoint(self, Lam):
         out = np.zeros((self.d_x + self.d_u,) * 2)
         out[: self.d_x, : self.d_x] = Lam
@@ -175,12 +180,11 @@ class AffineProjector:
 
     def residual(self, S) -> float:
         """||Sigma_xx - G Sigma G' - I||_F."""
-        return float(np.linalg.norm(self._F(np.asarray(S, dtype=float))
-                                    - self._eye))
+        return _affine_residual(self.G, np.asarray(S, dtype=float))
 
     def project(self, S) -> np.ndarray:
         S = _symmetrize(S)
-        lam = self._P_factor @ self.svec(self._F(S) - self._eye)
+        lam = self._P_factor @ self.svec(_affine_map(self.G, S) - self._eye)
         return _symmetrize(S - self._F_adjoint(self.smat(lam)))
 
 
@@ -308,12 +312,12 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
         raise SdpInfeasibleError(
             f"recovered witness not contracting: ||L|| = {norm_L:.12g} "
             f"exceeds {bound:.12g}", residual=norm_L - bound)
-    affine = AffineProjector(A_hat, B_hat)
     return RecoveryResult(K=K, kappa_tilde=constants.kappa_tilde,
                           gamma_tilde=constants.gamma_tilde, constants=constants,
                           sigma=sigma, H=H, L=L, norm_L=norm_L,
                           sdp_iterations=last["it"], sdp_violation=last["viol"],
-                          sdp_affine_residual=affine.residual(sigma.sigma))
+                          sdp_affine_residual=_affine_residual(
+                              np.hstack([A_hat, B_hat]), sigma.sigma))
 
 
 def decay_horizon(gamma_tilde: float, x_norm: float) -> int:
@@ -331,12 +335,13 @@ class DecayResult:
     steps: int
 
 
-def decay(plant: BlackBoxPlant, K, kappa_tilde: float, gamma_tilde: float,
-          x_start=None) -> DecayResult:
+def decay(plant: BlackBoxPlant, K, kappa_tilde: float,
+          gamma_tilde: float) -> DecayResult:
     """Execute u = K x until the probing-phase state has contracted.
 
-    Runs T2 = max(ln(gamma~ ||x_start||)/gamma~, 0) rounds; a (kappa~, gamma~)
-    strongly stable K guarantees the terminal norm is at most 2 kappa~/gamma~.
+    Runs T2 = max(ln(gamma~ ||x||)/gamma~, 0) rounds from the plant's current
+    state x; a (kappa~, gamma~) strongly stable K guarantees the terminal
+    norm is at most 2 kappa~/gamma~.
     Divergence is detected on whole contraction windows: over any window of
     ceil(ln(2 kappa~)/gamma~) rounds the certified envelope at least halves
     the above-floor state, so a window that fails to shrink it means the
@@ -344,10 +349,6 @@ def decay(plant: BlackBoxPlant, K, kappa_tilde: float, gamma_tilde: float,
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     x = plant.state
-    if x_start is not None:
-        x_start = np.asarray(x_start, dtype=float).reshape(-1)
-        if not np.allclose(x_start, x):
-            raise ValueError("x_start does not match the plant's current state")
     steps = decay_horizon(gamma_tilde, float(np.linalg.norm(x)))
     window = max(int(math.ceil(math.log(max(2.0 * kappa_tilde, 2.0)) / gamma_tilde)), 1)
     floor = 2.0 * kappa_tilde / gamma_tilde

@@ -17,9 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteValueError, NotControllableError, ProbeScalingError
+from .errors import NotControllableError, ProbeScalingError
 from .lds import RANK_RTOL
 from .plant import BlackBoxPlant
+
+
+def probe_horizon(k: int, d_u: int) -> int:
+    """Rounds the probing schedule controls, (k+1) d_u: phase 1 plays rounds
+    1 .. T1-1, so it ends at T1 = (k+1) d_u + 1."""
+    return (k + 1) * d_u
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,7 @@ class ProbePlan:
     @property
     def horizon(self) -> int:
         """Number of controlled rounds, (k+1) * d_u."""
-        return (self.k + 1) * self.d_u
-
-    def probe_round(self, i: int) -> int:
-        """Round at which probe i (1-based) fires."""
-        return (i - 1) * (self.k + 1) + 1
+        return probe_horizon(self.k, self.d_u)
 
     def control_at(self, t: int) -> np.ndarray:
         """Scheduled control for round t (1-based), zero off the probe grid."""
@@ -154,7 +156,7 @@ def solve_A(C0: np.ndarray, C1: np.ndarray) -> np.ndarray:
 
 
 def adv_sys_id(plant: BlackBoxPlant, eps: float, lam: float, k: int,
-               kappa: float, x1=None) -> EstimateBundle:
+               kappa: float) -> EstimateBundle:
     """Run the probing schedule on the live plant and identify (A, B).
 
     Requires lam >= 4 (max(||A||, ||B||) + 1); under bounded noise the output
@@ -162,10 +164,6 @@ def adv_sys_id(plant: BlackBoxPlant, eps: float, lam: float, k: int,
     the (exponentially large) probing costs on the plant's own cost sequence.
     """
     x_now = plant.state
-    if x1 is not None:
-        x1 = np.asarray(x1, dtype=float).reshape(-1)
-        if not np.allclose(x1, x_now):
-            raise ValueError("x1 does not match the plant's current state")
     if np.linalg.norm(x_now) > 1.0:
         warnings.warn("||x1|| > 1: identification error bounds degrade",
                       stacklevel=2)
@@ -173,10 +171,7 @@ def adv_sys_id(plant: BlackBoxPlant, eps: float, lam: float, k: int,
     plan = probe_plan(k, plant.d_u, lam, eps0)
     states = [x_now]
     for t in range(1, plan.horizon + 1):
-        outcome = plant.apply(plan.control_at(t), phase="sysid")
-        if not np.isfinite(outcome.x_next).all():
-            raise NonFiniteValueError("state", t + 1)
-        states.append(outcome.x_next)
+        states.append(plant.apply(plan.control_at(t), phase="sysid").x_next)
     bundle = assemble_estimates(states, plan)
     bundle.A_hat = solve_A(bundle.C0, bundle.C1)
     return bundle

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from blackbox_lds.cli import main
 from blackbox_lds.stabilize import controller_recovery
 
@@ -56,14 +58,6 @@ class TestPipelineCommand:
         assert summary["sdp_violation"] <= 1e-9
         assert summary["sdp_affine_residual"] <= 1e-9
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = _write_config(tmp_path, "cfg.json", PIPELINE_CFG)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["pipeline", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["pipeline", "--config", cfg, "--out", str(out2)]) == 0
-        assert _read(out1 / "steps.csv") == _read(out2 / "steps.csv")
-        assert _read(out1 / "summary.json") == _read(out2 / "summary.json")
-
     def test_seed_changes_output(self, tmp_path):
         cfg = _write_config(tmp_path, "cfg.json",
                             {**PIPELINE_CFG,
@@ -76,7 +70,66 @@ class TestPipelineCommand:
         assert _read(out1 / "steps.csv") != _read(out2 / "steps.csv")
 
 
+# one small config per subcommand
+CONFIGS = {
+    "pipeline": PIPELINE_CFG,
+    "sysid": {"experiment": "sysid", "seed": 2,
+              "plant": {"kind": "explicit", "A": [[0.5]], "B": [[1.0]]},
+              "prior": {"k": 1, "kappa": 1.0, "beta": 1.0},
+              "disturbance": {"kind": "clipped_gaussian", "scale": 0.3},
+              "eps": 1e-3},
+    "recover": {"experiment": "recover", "A_hat": [[1.1, 0.2], [0.0, 0.9]],
+                "B_hat": [[1.0], [0.3]], "eps": 1e-6, "kappa_prime": 3.0,
+                "gamma_prime": 0.05},
+    "lowerbound-rand": {"experiment": "lowerbound-rand", "d_x": 40, "seed": 3,
+                        "controller": "certainty_equivalent"},
+    "lowerbound-det": {"experiment": "lowerbound-det", "d_x": 12,
+                       "controller": "negative_identity"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+def test_byte_identical_reruns(tmp_path, subcommand):
+    cfg = _write_config(tmp_path, "cfg.json", CONFIGS[subcommand])
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([subcommand, "--config", cfg, "--out", str(out1)]) == 0
+    assert main([subcommand, "--config", cfg, "--out", str(out2)]) == 0
+    for name in ("steps.csv", "summary.json"):
+        assert _read(out1 / name) == _read(out2 / name)
+    summary = json.loads(_read(out1 / "summary.json"))
+    assert summary["experiment"] == subcommand
+    assert summary["seed"] == CONFIGS[subcommand].get("seed")
+    assert summary["config"] == CONFIGS[subcommand]
+    with open(out1 / "steps.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert summary["cumulative_cost"] == (float(rows[-1]["cumulative_cost"])
+                                          if rows else 0.0)
+
+
 class TestSchemaValidation:
+    @pytest.mark.parametrize("path,value", [
+        ("prior.kappa", "1.0"),
+        ("prior.beta", None),
+        ("options.use_certified_stability", "yes"),
+        ("options.reidentify", 1),
+        ("options.comparator_iters", "5"),
+        ("options.comparator_iters", 0),
+        ("disturbance.scale", "0.5"),
+        ("disturbance.omega", [0.2]),
+        ("disturbance.amplitude", True),
+        ("disturbance.phases", ["0.1"]),
+    ])
+    def test_mistyped_value_exit_2(self, tmp_path, capsys, path, value):
+        cfg = json.loads(json.dumps(PIPELINE_CFG))
+        section, key = path.split(".")
+        cfg[section][key] = value
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"]["kind"], err["error"]["path"]) == ("config", path)
+        assert not out.exists()  # rejected before any round is played
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, "cfg.json",
                             {**PIPELINE_CFG, "bogus": 1})

@@ -23,6 +23,8 @@ from blackbox_lds.errors import (
     PhaseError,
     ProbeScalingError,
 )
+from blackbox_lds.pipeline import GPC_STACK_BUDGET
+from blackbox_lds.stabilize import RecoveryConstants
 from blackbox_lds.sysid import epsilon_zero, probe_plan
 from gpc_reference import ref_gpc_run
 
@@ -51,6 +53,30 @@ class TestDeriveConstants:
         assert c.provenance["lam"] == "default"
         assert c.eps0 == pytest.approx(
             epsilon_zero(1e-3, 1, 1, 8.0, 2, 1.0))
+
+    def test_recovery_constants_match(self, rng):
+        # nu, kappa~ and gamma~ of derive_constants are exactly those that
+        # controller_recovery derives from (kappa', gamma', eps)
+        for _ in range(50):
+            d_x, d_u, k = (int(v) for v in rng.integers(1, 6, size=3))
+            kappa_prime = float(rng.uniform(1.0, 10.0))
+            gamma_prime = float(rng.uniform(0.1, 1.0)) / (2.0 * kappa_prime**2)
+            overrides = {"kappa_prime": kappa_prime, "gamma_prime": gamma_prime}
+            if rng.random() < 0.5:  # else the eps formula
+                overrides["eps"] = (float(rng.uniform(0.01, 0.99)) * gamma_prime
+                                    / (2.0 * kappa_prime**2))
+            c = derive_constants(k, float(rng.uniform(1.0, 10.0)),
+                                 float(rng.uniform(1.0, 1.5)), d_x, d_u,
+                                 int(rng.integers(100, 10**6)), overrides=overrides)
+            rc = RecoveryConstants.from_existence(c.kappa_prime, c.gamma_prime,
+                                                  c.eps, d_x)
+            assert (c.nu, c.kappa_tilde, c.gamma_tilde) \
+                == (rc.nu, rc.kappa_tilde, rc.gamma_tilde)
+
+    def test_transfer_margin_checked(self):
+        with pytest.raises(ValueError, match="gamma' must exceed 2 eps kappa'"):
+            derive_constants(1, 1.0, 1.0, 2, 1, 1000,
+                             overrides={"eps": 0.4, "gamma_prime": 0.1})
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown constant overrides"):
@@ -104,14 +130,10 @@ class TestRunPipeline:
             run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 3,
                          overrides={"eps": 1e-3})
 
-    @pytest.mark.parametrize("T,overrides,certified", [
-        # worst-case constants: decay takes 8899 of the rounds, H = 19642
-        (10000, {"eps": 1e-3}, False),
-        (400, {"eps": 1e-3, "H": 16861}, True),
-    ])
-    def test_horizon_longer_than_gpc_phase(self, T, overrides, certified):
-        # the (H+1) x H window stack of phase 3 would take gigabytes, so the
-        # check must come before phase 3 allocates anything
+    @staticmethod
+    def _gpc_refusal(T, overrides, certified):
+        """Run the criterion-08 plant into a PhaseError("gpc") under
+        tracemalloc; returns (error, traced peak bytes, plant)."""
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), QUAD,
                               [0.0], seed=1)
@@ -125,11 +147,37 @@ class TestRunPipeline:
         finally:
             tracemalloc.stop()
         assert info.value.phase == "gpc"
-        message = str(info.value)
+        assert not any(r.phase == "gpc" for r in plant.log.records)
+        return info.value, peak, plant
+
+    @pytest.mark.parametrize("T,overrides,certified", [
+        # worst-case constants: decay takes 8899 of the rounds, H = 19642
+        (10000, {"eps": 1e-3}, False),
+        (400, {"eps": 1e-3, "H": 16861}, True),
+    ])
+    def test_horizon_longer_than_gpc_phase(self, T, overrides, certified):
+        # the (H+1) x H window stack of phase 3 would take gigabytes, so the
+        # check must come before phase 3 allocates anything
+        error, peak, _ = self._gpc_refusal(T, overrides, certified)
+        message = str(error)
         assert "H override" in message and "certified stability" in message
         assert f"H={overrides.get('H', 19642)}" in message
         assert peak < 64 * 2**20
-        assert not any(r.phase == "gpc" for r in plant.log.records)
+
+    @pytest.mark.parametrize("T,overrides,certified,H", [
+        # worst-case constants: H = 20840 fits in the 31101 GPC rounds, but
+        # its window stacks would take 6.6 GiB
+        (40000, {"eps": 1e-3}, False, 20840),
+        (6400, {"eps": 1e-3, "H": 6000}, True, 6000),
+    ])
+    def test_window_stacks_over_budget(self, T, overrides, certified, H):
+        error, peak, plant = self._gpc_refusal(T, overrides, certified)
+        assert H <= T - len(plant.log)  # not the H > T_gpc refusal
+        assert 8 * (H + 1) * H * 2 > GPC_STACK_BUDGET
+        message = str(error)
+        assert f"H={H}" in message and "MiB budget" in message
+        assert "H override" in message
+        assert peak < 64 * 2**20
 
     def test_decay_terminal_bound(self):
         # ||x|| after decay <= 2 kappa/gamma for the stability pair in force

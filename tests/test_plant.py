@@ -5,6 +5,7 @@ import pytest
 
 from blackbox_lds import (
     BlackBoxPlant,
+    ClippedGaussianDisturbance,
     CostFunction,
     LinearSystem,
     SinusoidalDisturbance,
@@ -109,3 +110,49 @@ class TestSimulateContract:
         log = simulate(sys, controller, ZeroDisturbance(), QUAD, 3, [1.0])
         assert [r.x[0] for r in log.records] == [1.0, 1.0, 1.0]
         assert [s[0] for s in seen] == [1.0, 1.0, 1.0]
+
+    def test_matches_a_hand_driven_plant(self, rng):
+        sys = LinearSystem(0.4 * rng.normal(size=(3, 3)), rng.normal(size=(3, 2)))
+        x1 = rng.normal(size=3)
+        K = 0.2 * rng.normal(size=(2, 3))
+        costs = [CostFunction.weighted_quadratic(np.diag([1.0, 2.0, 3.0]), np.eye(2)),
+                 QUAD] * 10
+
+        def controller(t, x):
+            return K @ x + np.sin(t)
+
+        log = simulate(sys, controller, ClippedGaussianDisturbance(3, seed=4), costs,
+                       20, x1, phase="probe", seed=9)
+        plant = BlackBoxPlant(sys, ClippedGaussianDisturbance(3, seed=4), costs, x1,
+                              seed=9)
+        for t in range(1, 21):
+            plant.apply(controller(t, plant.state), phase="probe")
+        assert len(log) == len(plant.log) == 20
+        assert log.seed == plant.log.seed == 9
+        for a, b in zip(log.records, plant.log.records):
+            assert a.t == b.t and a.phase == b.phase and a.cost == b.cost
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+            assert np.array_equal(a.w, b.w)
+        assert log.cumulative_cost == plant.total_cost
+        assert log.phase_costs == plant.log.phase_costs == {"probe": plant.total_cost}
+
+    def test_state_overflow_is_a_nonfinite_state(self):
+        # x_2 = 1e150, x_3 = 1e300, x_4 overflows
+        sys = LinearSystem([[1e150]], [[1.0]])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError) as err:
+            simulate(sys, lambda t, x: np.zeros(1), ZeroDisturbance(), QUAD, 5, [1.0])
+        assert (err.value.what, err.value.step) == ("state", 4)
+
+
+class TestRunLog:
+    def test_phase_costs_sum_in_round_order(self, rng):
+        sys = LinearSystem([[0.9]], [[1.0]])
+        plant = BlackBoxPlant(sys, ClippedGaussianDisturbance(1, seed=2), QUAD, [0.3])
+        phases = ["sysid"] * 3 + ["decay"] * 5 + ["gpc"] * 300
+        for phase in phases:  # costs over six decades, so order shows
+            plant.apply(rng.normal(size=1) * 10.0 ** rng.uniform(-3, 3), phase=phase)
+        expected = {}
+        for r in plant.log.records:
+            expected[r.phase] = expected.get(r.phase, 0.0) + r.cost
+        assert plant.log.phase_costs == expected
+        assert list(plant.log.phase_costs) == ["sysid", "decay", "gpc"]

@@ -377,7 +377,7 @@ class TestDecay:
     def test_deadbeat(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [8.0])
-        result = decay(plant, [[-0.5]], 1.0, 1.0, x_start=[8.0])
+        result = decay(plant, [[-0.5]], 1.0, 1.0)
         assert result.x_final[0] == 0.0
 
     def test_terminal_bound_and_cost(self, rng):
