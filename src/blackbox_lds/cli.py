@@ -163,7 +163,7 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
             _is_number(v) for v in phases)), "disturbance.phases",
             "must be a number or a list of numbers")
     if "cost" in cfg:
-        _require_object(cfg["cost"], "cost", _COST_KEYS)
+        _validate_cost(cfg["cost"], cfg["plant"])
     if "overrides" in cfg:
         _require(isinstance(cfg["overrides"], dict), "overrides",
                  "must be an object")
@@ -209,6 +209,34 @@ def _validate_plant(p):
         for key in ("d_x", "d_u"):
             _require(_is_count(p.get(key)), f"plant.{key}",
                      "must be a positive integer")
+
+
+def _matrix_shape(value):
+    """(rows, cols) of a matrix given as nested lists of numbers, else None."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(row, list) for row in value)):
+        return None
+    cols = len(value[0])
+    if not all(len(row) == cols and all(_is_number(v) for v in row)
+               for row in value):
+        return None
+    return len(value), cols
+
+
+def _validate_cost(c, plant):
+    _require_object(c, "cost", _COST_KEYS)
+    if c["kind"] != "weighted_quadratic":
+        return
+    if plant["kind"] == "random":
+        d_x, d_u = plant["d_x"], plant["d_u"]
+    else:  # B may be a flat list for a single input
+        B = plant["B"]
+        d_x = len(plant["A"])
+        d_u = len(B[0]) if B and isinstance(B[0], list) else 1
+    for key, dim in (("Q", d_x), ("R", d_u)):
+        _require(key in c, f"cost.{key}", "missing required key")
+        _require(_matrix_shape(c[key]) == (dim, dim), f"cost.{key}",
+                 f"must be a {dim}x{dim} matrix as nested lists of numbers")
 
 
 # -- builders -----------------------------------------------------------------

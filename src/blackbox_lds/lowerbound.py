@@ -11,9 +11,16 @@ history -> control, where history is the list of observed states x_1..x_t.
 Cost per round t, besides the attacked controller: the randomized trial
 steps a dense system (O(d_x^2)) and keeps its subspace tracker in
 O(d_x t); the deterministic adversary's bookkeeping is O(d_x t), including
-an escape direction when the control adds nothing new. The built-in
-certainty-equivalent controller costs O(d_x t^2) (an SVD of the d_x-by-t
-state matrix); the other built-ins cost at most one d_x-by-d_x product.
+an escape direction when the control adds nothing new, with its Q and V rows
+kept in growable buffers. The built-in certainty-equivalent controller costs
+O(d_x t^2) (an SVD of the d_x-by-t state matrix); the other built-ins cost
+at most one d_x-by-d_x product.
+
+Each harness reports one d_x-by-d_x spectral norm (||A|| or ||Q'V||), once
+per trial. It is taken by `_spectral_norm` from the top eigenvalue of a Gram
+matrix, which at d_x = 800 costs ~75 ms against ~190 ms for the SVD of
+`lds.spectral_norm` (one BLAS thread); that SVD stays where the matrices are
+small (the phase-2 certificates) and a few ulp matter more than time.
 """
 
 from __future__ import annotations
@@ -30,6 +37,30 @@ ControllerFn = Callable[[List[np.ndarray]], np.ndarray]
 ControllerFactory = Callable[[], ControllerFn]
 
 _ORTHO_TOL = 1e-10
+
+# The range of the largest |entry| in which the Gram matrix is safe to form:
+# its entries, sums of squares, neither overflow nor lose the top eigenvalue
+# to underflow
+_GRAM_RANGE = (2.0 ** -400, 2.0 ** 400)
+
+
+def _spectral_norm(m: np.ndarray) -> float:
+    """||m||_2 as sqrt(lambda_max) of the smaller Gram matrix of m: one
+    SYRK-shaped product and one symmetric eigenvalue solve, about 2.5x
+    cheaper than the SVD behind np.linalg.norm(m, 2) and within a few ulp of
+    it. A largest entry outside _GRAM_RANGE (or a non-finite one) falls back
+    to the SVD; an empty or zero matrix has norm 0."""
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        return 0.0
+    # max/min reduce in place, so no second d_x^2 array (like |m|) is made
+    peak = max(float(m.max()), -float(m.min()))
+    if peak == 0.0:
+        return 0.0
+    if not _GRAM_RANGE[0] <= peak <= _GRAM_RANGE[1]:
+        return float(np.linalg.norm(m, 2))
+    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 class _Rows:
@@ -151,9 +182,14 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
     simulate x_{t+1} = A x_t + u_t from x_1 = e_1 for T = floor(d_x/8) rounds
     with costs ||x||^2 + ||u||^2, tracking the unseen-subspace residual h_t
     and whether it doubled. Round t costs O(d_x^2) for A x_t and O(d_x t)
-    for the tracker, plus the controller's call; ||A|| is one dense
-    spectral norm at the end."""
+    for the tracker, plus the controller's call.
+
+    ||A|| is taken once, right after sampling and before the controller is
+    built: its Gram matrix and the eigensolver's copy of it (two d_x^2
+    arrays) are freed before a controller can allocate d_x^2 state of its
+    own (frozen_random's R), so they never add to the trial's peak memory."""
     A = sample_gaussian_system(d_x, gamma, seed)
+    system_norm = _spectral_norm(A)
     controller = controller_factory()
     T = max(d_x // 8, 1)
     tracker = SubspaceTracker(d_x)
@@ -182,7 +218,7 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
         kind="randomized", d_x=d_x, steps=steps,
         final_state_norm=float(np.linalg.norm(steps[-1].x)),
         total_cost=total_cost, seed=seed, gamma=gamma,
-        system_norm=float(np.linalg.norm(A, 2)), A=A)
+        system_norm=system_norm, A=A)
 
 
 def _unit_outside_span(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -220,15 +256,17 @@ def deterministic_adversary(controller_factory: ControllerFactory,
 
     Determinism of the controller is verified by running two independently
     constructed instances on the same history and comparing controls.
-    Round t costs O(d_x t) besides the two controller calls.
+    Round t costs O(d_x t) besides the two controller calls: the Q and V
+    rows are appended to growable buffers, never restacked. ||Q'V|| is
+    taken once, after the last round, by `_spectral_norm`.
     """
     if d_x < 2:
         raise ValueError("d_x must be >= 2")
     controller = controller_factory()
     witness = controller_factory()
-    V_rows = np.zeros((1, d_x))
-    V_rows[0, 0] = 1.0  # V_1 = e_1'
-    Q_rows = []
+    V_rows = _Rows(d_x, max_rows=d_x)
+    V_rows.append(np.eye(1, d_x)[0])  # V_1 = e_1'
+    Q_rows = _Rows(d_x, max_rows=d_x)
     d_signs = []
     c_diag = [1.0]  # c_1^1: x_1 = e_1 = V_1'
     a_next = []
@@ -244,16 +282,17 @@ def deterministic_adversary(controller_factory: ControllerFactory,
         if u.shape != u_check.shape or not np.array_equal(u, u_check):
             raise NonDeterministicControllerError(
                 f"controller produced different controls at step {t}")
+        V = V_rows.view
         # y_t: new orthonormal direction extracted from u_t
-        coeffs = V_rows @ u
-        r = u - V_rows.T @ coeffs
+        coeffs = V @ u
+        r = u - V.T @ coeffs
         rnorm = np.linalg.norm(r)
         if rnorm > _ORTHO_TOL * max(1.0, np.linalg.norm(u)):
             y = r / rnorm
-            y = y - V_rows.T @ (V_rows @ y)
+            y = y - V.T @ (V @ y)
             y = y / np.linalg.norm(y)
         else:
-            y = _unit_outside_span(V_rows, d_x)
+            y = _unit_outside_span(V, d_x)
         a_t = float(y @ u)
         c_t = c_diag[-1]
         d_t = _sign(c_t) * _sign(a_t) * 2.0
@@ -265,9 +304,8 @@ def deterministic_adversary(controller_factory: ControllerFactory,
                                     h_sq=c_t**2, doubled=None))
         # x_{t+1} = Q'V x_t + u_t; x_t lives in span(V_1..V_t), so only the
         # rows fixed so far contribute
-        coords = V_rows @ x
-        x = np.array(Q_rows).T @ coords + u
-        V_rows = np.vstack([V_rows, y])
+        x = Q_rows.view.T @ (V @ x) + u
+        V_rows.append(y)
         history.append(x.copy())
         # the diagonal coefficient obeys c_{t+1} = c_t d_t + a_t; the signs
         # make the terms add constructively, so |c| at least doubles
@@ -275,16 +313,16 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     total_cost += float(x @ x)  # terminal state cost, zero-control round
     steps.append(TranscriptStep(t=d_x, x=x.copy(), u=np.zeros(d_x),
                                 h_sq=c_diag[-1] ** 2, doubled=None))
-    measured = float(V_rows[d_x - 1] @ x)
+    V = V_rows.view
+    measured = float(V[d_x - 1] @ x)
     if abs(measured - c_diag[-1]) > 1e-6 * max(1.0, abs(c_diag[-1])):
         raise ConstructionDriftError(
             "construction drifted: recursion and measured coefficients "
             f"disagree ({c_diag[-1]} vs {measured})")
     # complete the system: Q_{d_x} = 2 V_1, Q = D P V with the cyclic shift P
-    Q_rows.append(2.0 * V_rows[0])
+    Q_rows.append(2.0 * V[0])
     d_signs.append(2.0)
-    V = V_rows
-    Q = np.array(Q_rows)
+    Q = Q_rows.view
     D = np.diag(d_signs)
     P = np.zeros((d_x, d_x))
     for i in range(d_x):
@@ -292,7 +330,7 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     return AdversaryTranscript(
         kind="deterministic", d_x=d_x, steps=steps,
         final_state_norm=float(np.linalg.norm(x)),
-        total_cost=total_cost, system_norm=float(np.linalg.norm(Q.T @ V, 2)),
+        total_cost=total_cost, system_norm=_spectral_norm(Q.T @ V),
         V=V, Q=Q, D=D, P=P, c_diag=c_diag, a_next=a_next, d_signs=d_signs)
 
 

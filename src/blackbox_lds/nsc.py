@@ -336,48 +336,49 @@ def _batch_cost(costs: CostSpec) -> Optional[CostFunction]:
     return None
 
 
-def dac_total_cost(sys: LinearSystem, K, M, w_seq, costs: CostSpec, x1) -> float:
-    X, U, _ = _dac_trajectory(sys, K, M, w_seq, x1)
+def _rollout_cost(sys: LinearSystem, K, M, w_seq, costs: CostSpec, x1):
+    """Total cost of the fixed-M DAC, and the trajectory (X, U, Wdesc) of
+    `_dac_trajectory` it was summed over."""
+    trajectory = _dac_trajectory(sys, K, M, w_seq, x1)
+    X, U, _ = trajectory
     batch = _batch_cost(costs)
     if batch is not None:
-        return float(np.sum(batch.batch_value(X, U)))
+        return float(np.sum(batch.batch_value(X, U))), trajectory
     total = 0.0
     for t in range(len(X)):
         total += float(cost_at(costs, t + 1).value(X[t], U[t]))
-    return total
+    return total, trajectory
 
 
-def _dac_cost_and_gradient(sys: LinearSystem, K, M, w_seq, costs, x1):
-    X, U, Wdesc = _dac_trajectory(sys, K, M, w_seq, x1)
-    T = len(X)
+def dac_total_cost(sys: LinearSystem, K, M, w_seq, costs: CostSpec, x1) -> float:
+    return _rollout_cost(sys, K, M, w_seq, costs, x1)[0]
+
+
+def _dac_gradient(sys: LinearSystem, K, trajectory, costs: CostSpec) -> np.ndarray:
+    """dJ/dM along a trajectory from `_rollout_cost`, by one adjoint pass
+    (no second forward rollout)."""
+    X, U, Wdesc = trajectory
     K = np.atleast_2d(np.asarray(K, dtype=float))
     batch = _batch_cost(costs)
     if batch is not None:
-        total = float(np.sum(batch.batch_value(X, U)))
         gx, gu = batch.batch_gradient(X, U)
         gx = np.asarray(gx, dtype=float)
         gu = np.asarray(gu, dtype=float)
     else:
         gx = np.empty_like(X)
         gu = np.empty_like(U)
-        total = 0.0
-        for t in range(T):
-            c = cost_at(costs, t + 1)
-            total += float(c.value(X[t], U[t]))
-            gxt, gut = c.gradient(X[t], U[t])
-            gx[t] = gxt
-            gu[t] = gut
+        for t in range(len(X)):
+            gx[t], gu[t] = cost_at(costs, t + 1).gradient(X[t], U[t])
     Acl = (sys.A + sys.B @ K).T
     Bt = sys.B.T
     # adjoint pass: lam_t = d J / d x_t, s_t = d J / d (DAC offset at t)
     base = gx + gu @ K
     S = np.empty_like(U)
     lam = np.zeros(sys.d_x)
-    for t in range(T - 1, -1, -1):
+    for t in range(len(X) - 1, -1, -1):
         S[t] = gu[t] + Bt @ lam
         lam = base[t] + Acl @ lam
-    grad = np.einsum("tu,thx->hux", S, Wdesc)
-    return total, grad
+    return np.einsum("tu,thx->hux", S, Wdesc)
 
 
 @dataclass
@@ -395,10 +396,13 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
     """Minimize the true total cost over M in the constraint set by projected
     gradient descent with backtracking (the cost is convex in M since states
     are affine in M). Deterministic given its inputs; the returned grad_norm
-    is the projected-gradient stationarity measure at the solution."""
+    is the projected-gradient stationarity measure at the solution. Each
+    gradient reuses the trajectory the accepted cost was summed over, so an
+    iteration costs one forward rollout per candidate plus one adjoint pass."""
     w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
     params = DacParams.zeros(H, sys.d_u, sys.d_x)
-    J, g = _dac_cost_and_gradient(sys, K, params.M, w_seq, costs, x1)
+    J, trajectory = _rollout_cost(sys, K, params.M, w_seq, costs, x1)
+    g = _dac_gradient(sys, K, trajectory, costs)
     step = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
     pg_norm = math.inf
     converged = False
@@ -409,11 +413,12 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
             cand = project_M(DacParams(M=params.M - step * g), kappa, gamma)
             delta = params.M - cand.M
             decrease = float(np.sum(g * delta))
-            J_cand = dac_total_cost(sys, K, cand.M, w_seq, costs, x1)
+            J_cand, cand_trajectory = _rollout_cost(sys, K, cand.M, w_seq,
+                                                    costs, x1)
             if J_cand <= J - 1e-4 * decrease:
                 pg_norm = float(np.linalg.norm(delta)) / step
                 improvement = J - J_cand
-                params, J = cand, J_cand
+                params, J, trajectory = cand, J_cand, cand_trajectory
                 moved = True
                 break
             step *= 0.5
@@ -423,7 +428,7 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
         if improvement <= 1e-12 * max(abs(J), 1.0):
             converged = True
             break
-        _, g = _dac_cost_and_gradient(sys, K, params.M, w_seq, costs, x1)
+        g = _dac_gradient(sys, K, trajectory, costs)
         step *= 1.5
     return HindsightResult(params=params, cost=J, grad_norm=pg_norm,
                            iterations=it, converged=converged)

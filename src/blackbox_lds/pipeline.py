@@ -207,7 +207,7 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     by the 2 eps kappa^2 transfer margin for the true system) instead of the
     worst-case formulas; provenance records the substitution. Overrides of
     kappa_star, W, H and eta hold on either path, and the constants derived
-    from an overridden one follow it.
+    from an overridden one follow it; the phase-2 SDP uses the resolved nu.
 
     The comparator (hence regret) is computed only in simulation mode, by
     replaying the recorded disturbances through the true system. A DAC
@@ -236,7 +236,8 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     # Phase 2: controller recovery (zero plant cost), then decay.
     try:
         recovery = controller_recovery(bundle.A_hat, bundle.B_hat, cst.eps,
-                                       cst.kappa_prime, cst.gamma_prime)
+                                       cst.kappa_prime, cst.gamma_prime,
+                                       nu=cst.nu)
     except Exception as exc:
         raise PhaseError("recover", str(exc)) from exc
     kappa_use, gamma_use = cst.kappa_tilde, cst.gamma_tilde

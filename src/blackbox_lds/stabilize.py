@@ -15,7 +15,8 @@ K_hat = Sigma_xu' Sigma_xx^{-1} then runs until the probing-phase state decays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -283,13 +284,15 @@ class RecoveryResult:
 
 def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
                         gamma_prime: float, tol: float = DEFAULT_TOL,
-                        max_iters: int = DEFAULT_MAX_ITERS) -> RecoveryResult:
+                        max_iters: int = DEFAULT_MAX_ITERS,
+                        nu: Optional[float] = None) -> RecoveryResult:
     """Solve the feasibility SDP on (A_hat, B_hat) and extract K_hat.
 
     The returned (kappa_tilde, gamma_tilde) are the guaranteed stability
     constants for the true system. A direct strong-stability witness on the
     estimates, H = Sigma_xx^{1/2} and L = H^{-1}(A_hat + B_hat K) H, is built
     and checked against the feasibility-implied bound ||L|| <= 1 - 1/(2 nu).
+    The trace cap nu is derived from (kappa', gamma', eps) unless given.
     """
     A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
     B_hat = np.asarray(B_hat, dtype=float)
@@ -297,6 +300,8 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
         B_hat = B_hat.reshape(-1, 1)
     d_x = A_hat.shape[0]
     constants = RecoveryConstants.from_existence(kappa_prime, gamma_prime, eps, d_x)
+    if nu is not None:
+        constants = replace(constants, nu=float(nu))
     last = {}
     sigma = sdp_feasibility(A_hat, B_hat, constants.nu, tol=tol, max_iters=max_iters,
                             on_iteration=lambda it, viol: last.update(it=it, viol=viol))

@@ -130,6 +130,29 @@ class TestSchemaValidation:
         assert (err["error"]["kind"], err["error"]["path"]) == ("config", path)
         assert not out.exists()  # rejected before any round is played
 
+    @pytest.mark.parametrize("plant,cost,path", [
+        ({"kind": "explicit", "A": [[0.5]], "B": [[1.0]]},
+         {"kind": "weighted_quadratic", "R": [[1.0]]}, "cost.Q"),
+        ({"kind": "random", "d_x": 3, "d_u": 2},
+         {"kind": "weighted_quadratic", "Q": [[1.0, 0.0, 0.0]] * 3,
+          "R": [[1.0, 0.0, 0.0]] * 3}, "cost.R"),
+    ])
+    def test_weighted_quadratic_needs_square_q_and_r(self, tmp_path, capsys,
+                                                     plant, cost, path):
+        cfg = {**CONFIGS["sysid"], "plant": plant, "cost": cost}
+        out = tmp_path / "o"
+        assert main(["sysid", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"]["kind"], err["error"]["path"]) == ("config", path)
+        assert not out.exists()
+
+    def test_weighted_quadratic_cost_runs(self, tmp_path):
+        cost = {"kind": "weighted_quadratic", "Q": [[2.0]], "R": [[0.5]]}
+        cfg = {**CONFIGS["sysid"], "cost": cost}
+        assert main(["sysid", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, "cfg.json",
                             {**PIPELINE_CFG, "bogus": 1})

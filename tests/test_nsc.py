@@ -22,7 +22,12 @@ from blackbox_lds import (
     surrogate_gradient,
 )
 from blackbox_lds.nsc import DacParams, _project_blocks, dac_total_cost
-from gpc_reference import ref_gpc_run, ref_project, ref_project_vectors
+from gpc_reference import (
+    ref_best_dac_in_hindsight,
+    ref_gpc_run,
+    ref_project,
+    ref_project_vectors,
+)
 
 QUAD = CostFunction.quadratic()
 
@@ -455,3 +460,61 @@ class TestBestDacInHindsight:
             M = rng.normal(size=(H, 1, 1))
             M = np.clip(M, -bounds[:, None, None], bounds[:, None, None])
             assert res.cost <= dac_total_cost(sys, K, M, w, QUAD, [0.0]) + 1e-9
+
+
+def _assert_same_hindsight(new, ref):
+    assert np.array_equal(new.params.M, ref.params.M)
+    assert new.cost == ref.cost
+    assert new.grad_norm == ref.grad_norm
+    assert new.iterations == ref.iterations
+    assert new.converged == ref.converged
+
+
+class TestComparatorAgainstReference:
+    """best_dac_in_hindsight reuses the accepted trajectory for its gradient;
+    the reference (tests/gpc_reference.py) rolls it out a second time. The
+    arithmetic is the same, so every result field must be bit-identical."""
+
+    def test_criterion_08_instance(self, monkeypatch):
+        from blackbox_lds import PriorBounds, pipeline, run_pipeline
+        calls = []
+        comparator = pipeline.best_dac_in_hindsight
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return comparator(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "best_dac_in_hindsight", spy)
+        plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
+                              SinusoidalDisturbance(1, omega=0.2), QUAD, [0.0],
+                              seed=1)
+        report = run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 2000,
+                              overrides={"eps": 1e-3},
+                              use_certified_stability=True, comparator_iters=60,
+                              seed=1)
+        (args, kwargs), = calls
+        ref = ref_best_dac_in_hindsight(*args, **kwargs)
+        assert ref.iterations > 1
+        _assert_same_hindsight(report.comparator, ref)
+
+    def test_mimo(self, rng):
+        sys, K, _, _ = _mimo_instance(rng, 3, 2)
+        w = rng.uniform(-0.5, 0.5, size=(150, 3))
+        x1 = rng.normal(size=3)
+        args = (sys, w, QUAD, K, 4, 2.0, 0.3, x1)
+        ref = ref_best_dac_in_hindsight(*args, iters=40)
+        assert ref.iterations > 1
+        _assert_same_hindsight(best_dac_in_hindsight(*args, iters=40), ref)
+
+    def test_per_round_cost_list(self, rng):
+        # a list of costs has no batch callbacks: the per-round loop path
+        sys, K, _, _ = _mimo_instance(rng, 2, 2)
+        T = 120
+        costs = [CostFunction.weighted_quadratic(
+            np.diag(rng.uniform(0.5, 2.0, size=2)), np.eye(2) * (1 + t % 3))
+            for t in range(T)]
+        w = rng.uniform(-0.5, 0.5, size=(T, 2))
+        args = (sys, w, costs, K, 3, 2.0, 0.3, np.ones(2))
+        ref = ref_best_dac_in_hindsight(*args, iters=30)
+        assert ref.iterations > 1
+        _assert_same_hindsight(best_dac_in_hindsight(*args, iters=30), ref)

@@ -358,6 +358,24 @@ class TestRunPipeline:
         for name in ("W", "H", "eta"):
             assert used[name] == getattr(cst, name)
 
+    def test_nu_override_caps_the_recovery_sdp(self):
+        def run(nu):
+            plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
+                                  SinusoidalDisturbance(1, omega=0.2), QUAD,
+                                  [0.0], seed=1, simulation_mode=False)
+            return run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 400,
+                                overrides={"eps": 1e-3, "nu": nu},
+                                use_certified_stability=True, seed=1)
+
+        report = run(5.0)  # the formula gives nu = 112.03 here
+        assert report.constants.nu == 5.0
+        assert report.recovery.constants.nu == 5.0
+        assert report.recovery.norm_L <= 1.0 - 1.0 / (2.0 * 5.0)
+        # Sigma_xx >= I on a scalar plant, so a trace cap below 1 is infeasible
+        with pytest.raises(PhaseError) as err:
+            run(0.5)
+        assert err.value.phase == "recover"
+
     def test_cost_scale_sets_eta(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         cost = dataclasses.replace(QUAD, G=5.0)
