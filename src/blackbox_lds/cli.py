@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import lowerbound as lb
-from .errors import BlackBoxControlError, ConfigError
+from .errors import BlackBoxControlError, ConfigError, NonFiniteValueError
 from .lds import (
     ClippedGaussianDisturbance,
     CostFunction,
@@ -303,23 +303,54 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _json_text(payload) -> str:
+    """payload as sorted, indented JSON text. A NaN or an infinity, which
+    JSON cannot hold, raises NonFiniteValueError naming its field."""
+    payload = _jsonable(payload)
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        _name_non_finite(payload, "summary")
+        raise
 
 
-def _write_csv(path, steps) -> float:
-    """Write one row per (t, phase, x, u, cost) step, with the norms of x
-    and u and the running cost; returns the final running cost."""
-    running = 0.0
+def _name_non_finite(obj, path):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _name_non_finite(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _name_non_finite(value, f"{path}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise NonFiniteValueError(path)
+
+
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,phase,state_norm,control_norm,cost,cumulative_cost\n")
-        for t, phase, x, u, c in steps:
-            running += c
-            fh.write(f"{t},{phase},{_g17(np.linalg.norm(x))},"
-                     f"{_g17(np.linalg.norm(u))},{_g17(c)},{_g17(running)}\n")
-    return running
+        fh.write(text)
+
+
+_CSV_COLUMNS = ("t", "phase", "state_norm", "control_norm", "cost",
+                "cumulative_cost")
+
+
+def _csv_text(steps) -> tuple:
+    """(steps.csv text, final running cost): one row per (t, phase, x, u,
+    cost) step with the norms of x and u, the cost and the running cost. The
+    earliest step with a NaN or an infinity raises NonFiniteValueError
+    naming its column."""
+    lines = [",".join(_CSV_COLUMNS)]
+    running = 0.0
+    for t, phase, x, u, c in steps:
+        running += c
+        numbers = (float(np.linalg.norm(x)), float(np.linalg.norm(u)), c, running)
+        for column, value in zip(_CSV_COLUMNS[2:], numbers):
+            if not math.isfinite(value):
+                raise NonFiniteValueError(f"steps.{column}", t)
+        lines.append(f"{t},{phase}," + ",".join(map(_g17, numbers)))
+    lines.append("")
+    return "\n".join(lines), running
 
 
 def _log_steps(log):
@@ -469,15 +500,21 @@ _RUNNERS = {
 
 
 def dispatch(subcommand: str, cfg: dict, out_dir: str) -> None:
-    """Validate and run one experiment, writing steps.csv and summary.json."""
+    """Validate and run one experiment, writing steps.csv and summary.json.
+
+    Every number of both files is checked to be finite before either is
+    written: a NaN or an infinity raises NonFiniteValueError naming the
+    field, and nothing is written."""
     cfg = validate_config(subcommand, cfg)
-    os.makedirs(out_dir, exist_ok=True)
     _say(f"running {subcommand} -> {out_dir}")
     steps, summary = _RUNNERS[subcommand](cfg)
+    csv_text, cumulative = _csv_text(steps)
     summary.update(experiment=subcommand, seed=cfg.get("seed"), config=cfg,
-                   cumulative_cost=_write_csv(os.path.join(out_dir, "steps.csv"),
-                                              steps))
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+                   cumulative_cost=cumulative)
+    json_text = _json_text(summary)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(os.path.join(out_dir, "steps.csv"), csv_text)
+    _write_text(os.path.join(out_dir, "summary.json"), json_text)
 
 
 # -- argument handling --------------------------------------------------------
@@ -555,9 +592,9 @@ def _run(args) -> int:
                 trial_cfg["seed"] = base_seed + i
                 dirs.append(os.path.join(args.out, f"trial_{i:04d}"))
                 dispatch(args.subcommand, trial_cfg, dirs[-1])
-            _write_json(os.path.join(args.out, "trials.json"),
-                        {"trials": args.trials, "base_seed": base_seed,
-                         "dirs": dirs})
+            _write_text(os.path.join(args.out, "trials.json"),
+                        _json_text({"trials": args.trials,
+                                    "base_seed": base_seed, "dirs": dirs}))
     except ConfigError as exc:
         print(json.dumps({"error": {"kind": "config", "path": exc.path,
                                     "message": str(exc)}}, sort_keys=True))

@@ -18,12 +18,14 @@ class DimensionMismatchError(BlackBoxControlError):
 
 
 class NonFiniteValueError(BlackBoxControlError):
-    """A state or control became NaN/inf; carries the step index."""
+    """A state, control or reported value became NaN/inf; carries what it
+    is and the step index (None for a value that belongs to no step)."""
 
-    def __init__(self, what, step):
+    def __init__(self, what, step=None):
         self.what = what
         self.step = step
-        super().__init__(f"non-finite {what} at step {step}")
+        where = "" if step is None else f" at step {step}"
+        super().__init__(f"non-finite {what}{where}")
 
 
 class NotControllableError(BlackBoxControlError):

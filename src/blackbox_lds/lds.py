@@ -24,6 +24,10 @@ from .errors import (
 # Scale-free rank threshold: sigma_min < RANK_RTOL * sigma_max means rank deficient.
 RANK_RTOL = 1e-10
 
+# The range of the largest |entry| of a vector in which its sum of squares
+# neither overflows nor underflows past the last digits
+_NORM_SAFE_RANGE = (2.0 ** -400, 2.0 ** 400)
+
 
 def spectral_norm(m) -> float:
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -138,7 +142,11 @@ class SinusoidalDisturbance(DisturbanceSource):
 
 
 class SignAdversarialDisturbance(DisturbanceSource):
-    """Pushes against the current state: w_t = -scale * x_t / ||x_t||."""
+    """Pushes against the current state: w_t = -scale * x_t / ||x_t||.
+
+    A state whose largest |entry| lies outside _NORM_SAFE_RANGE is divided
+    by that entry first: its sum of squares would overflow, or underflow
+    and lose the digits that keep ||w_t|| at scale."""
 
     def __init__(self, scale=1.0):
         if not 0 < scale <= 1.0:
@@ -147,10 +155,12 @@ class SignAdversarialDisturbance(DisturbanceSource):
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        n = np.linalg.norm(x)
-        if n == 0.0:
+        peak = max(float(x.max()), -float(x.min())) if x.size else 0.0
+        if peak == 0.0:
             return np.zeros_like(x)
-        return -self.scale * x / n
+        if not _NORM_SAFE_RANGE[0] <= peak <= _NORM_SAFE_RANGE[1]:
+            x = x / peak
+        return -self.scale * x / np.linalg.norm(x)
 
 
 class ReplayDisturbance(DisturbanceSource):

@@ -7,12 +7,17 @@ system online, row by row, so that the state provably reaches 2^{d_x - 1}.
 Both harnesses attack an arbitrary user-supplied controller, given as a
 zero-argument factory returning a deterministic-or-not callback
 history -> control, where history is the list of observed states x_1..x_t.
+Each controller instance owns one history list for the whole attack: the
+harness appends a private copy of every new state to it, so whatever the
+instance writes into its list is seen by nobody else.
 
 Cost per round t, besides the attacked controller: the randomized trial
 steps a dense system (O(d_x^2)) and keeps its subspace tracker in
 O(d_x t); the deterministic adversary's bookkeeping is O(d_x t), including
 an escape direction when the control adds nothing new, with its Q and V rows
-kept in growable buffers. The built-in certainty-equivalent controller costs
+kept in growable buffers. The Python work of a round (history appends,
+transcript records) is a constant number of numpy calls in both harnesses;
+it does not grow with t. The built-in certainty-equivalent controller costs
 O(d_x t^2) (an SVD of the d_x-by-t state matrix); the other built-ins cost
 at most one d_x-by-d_x product.
 
@@ -119,10 +124,12 @@ class SubspaceTracker:
         r = r - rows.T @ (rows @ r)
         return r
 
-    def extend(self, v) -> bool:
-        """Add v to the span; returns True if the rank grew."""
+    def extend(self, v, residual=None) -> bool:
+        """Add v to the span; returns True if the rank grew. `residual`, if
+        given, must be self.residual(v) taken since the span last changed;
+        it saves computing it again."""
         v = np.asarray(v, dtype=float)
-        r = self.residual(v)
+        r = self.residual(v) if residual is None else residual
         n = np.linalg.norm(r)
         if n <= _ORTHO_TOL * max(1.0, np.linalg.norm(v)) or self.rank >= self.dim:
             return False
@@ -182,7 +189,8 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
     simulate x_{t+1} = A x_t + u_t from x_1 = e_1 for T = floor(d_x/8) rounds
     with costs ||x||^2 + ||u||^2, tracking the unseen-subspace residual h_t
     and whether it doubled. Round t costs O(d_x^2) for A x_t and O(d_x t)
-    for the tracker, plus the controller's call.
+    for the tracker (two residuals: h_t, reused to extend the span by x_t,
+    and that of u_t), plus the controller's call.
 
     ||A|| is taken once, right after sampling and before the controller is
     built: its Gram matrix and the eigensolver's copy of it (two d_x^2
@@ -206,10 +214,10 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
             steps[-1].doubled = bool(h_sq >= 2.0 * h_prev_sq)
         u = np.asarray(controller(history), dtype=float).reshape(-1)
         total_cost += float(x @ x + u @ u)
-        steps.append(TranscriptStep(t=t, x=x.copy(), u=u.copy(), h_sq=h_sq,
+        steps.append(TranscriptStep(t=t, x=x, u=u.copy(), h_sq=h_sq,
                                     doubled=None))
         h_prev_sq = h_sq
-        tracker.extend(x)
+        tracker.extend(x, residual=h)
         tracker.extend(u)
         if t < T:
             x = A @ x + u
@@ -255,10 +263,14 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     trajectory is independent of the rows chosen later.
 
     Determinism of the controller is verified by running two independently
-    constructed instances on the same history and comparing controls.
-    Round t costs O(d_x t) besides the two controller calls: the Q and V
-    rows are appended to growable buffers, never restacked. ||Q'V|| is
-    taken once, after the last round, by `_spectral_norm`.
+    constructed instances, the controller and its witness, on the same
+    states and comparing controls. Each instance owns one history list for
+    the whole attack, and each round appends one private copy of x_{t+1} to
+    each list, so neither instance sees the other's writes and the harness's
+    per-round work does not grow with t. Round t costs O(d_x t) besides the
+    two controller calls: the Q and V rows are appended to growable buffers,
+    never restacked. ||Q'V|| is taken once, after the last round, by
+    `_spectral_norm`.
     """
     if d_x < 2:
         raise ValueError("d_x must be >= 2")
@@ -273,12 +285,12 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     x = np.zeros(d_x)
     x[0] = 1.0
     history = [x.copy()]
+    witness_history = [x.copy()]
     steps = []
     total_cost = 0.0
     for t in range(1, d_x):
         u = np.asarray(controller(history), dtype=float).reshape(-1)
-        u_check = np.asarray(witness([h.copy() for h in history]),
-                             dtype=float).reshape(-1)
+        u_check = np.asarray(witness(witness_history), dtype=float).reshape(-1)
         if u.shape != u_check.shape or not np.array_equal(u, u_check):
             raise NonDeterministicControllerError(
                 f"controller produced different controls at step {t}")
@@ -300,19 +312,20 @@ def deterministic_adversary(controller_factory: ControllerFactory,
         d_signs.append(d_t)
         a_next.append(a_t)
         total_cost += float(x @ x + u @ u)
-        steps.append(TranscriptStep(t=t, x=x.copy(), u=u.copy(),
-                                    h_sq=c_t**2, doubled=None))
+        steps.append(TranscriptStep(t=t, x=x, u=u.copy(),
+                                    h_sq=c_t * c_t, doubled=None))
         # x_{t+1} = Q'V x_t + u_t; x_t lives in span(V_1..V_t), so only the
         # rows fixed so far contribute
         x = Q_rows.view.T @ (V @ x) + u
         V_rows.append(y)
         history.append(x.copy())
+        witness_history.append(x.copy())
         # the diagonal coefficient obeys c_{t+1} = c_t d_t + a_t; the signs
         # make the terms add constructively, so |c| at least doubles
         c_diag.append(c_t * d_t + a_t)
     total_cost += float(x @ x)  # terminal state cost, zero-control round
-    steps.append(TranscriptStep(t=d_x, x=x.copy(), u=np.zeros(d_x),
-                                h_sq=c_diag[-1] ** 2, doubled=None))
+    steps.append(TranscriptStep(t=d_x, x=x, u=np.zeros(d_x),
+                                h_sq=c_diag[-1] * c_diag[-1], doubled=None))
     V = V_rows.view
     measured = float(V[d_x - 1] @ x)
     if abs(measured - c_diag[-1]) > 1e-6 * max(1.0, abs(c_diag[-1])):

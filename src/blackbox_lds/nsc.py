@@ -112,13 +112,9 @@ def dac_control(K, params: DacParams, x, w_buffer) -> np.ndarray:
     if len(w_buffer) < H:
         raise DimensionMismatchError("disturbance buffer", (f">= {H}", K.shape[1]),
                                      w_buffer.shape)
-    return _dac_control(K, params.M, np.asarray(x, dtype=float), w_buffer)
-
-
-def _dac_control(K, M, x, w_buffer):
-    """dac_control on normalised arrays: M is the (H, d_u, d_x) stack."""
-    window_desc = w_buffer[:-len(M) - 1:-1]  # rows w_{t-1}, ..., w_{t-H}
-    return K @ x + np.einsum("hux,hx->u", M, window_desc)
+    window_desc = w_buffer[:-H - 1:-1]  # rows w_{t-1}, ..., w_{t-H}
+    return K @ np.asarray(x, dtype=float) + np.einsum("hux,hx->u", params.M,
+                                                      window_desc)
 
 
 def estimate_disturbance(A_est, B_est, x_t, u_t, x_next) -> np.ndarray:
@@ -185,8 +181,20 @@ def _surrogate_operators(A_est, B_est, K, H):
     return P, PB, gather
 
 
-def _surrogate_grad(M, operators, K, w_window, cost_fn):
-    """Gradient of surrogate_cost through the precomputed operators.
+def _dac_offsets(M, w_window, gather):
+    """The descending windows of the 2H-row w_window as the rows of one
+    (H+1, H d_x) matrix, and the DAC offsets o_s = sum_h M^h
+    w_window[s+H-1-h] for s = 0..H as its product with M laid out as
+    (d_u, H d_x). offsets[H] is the offset of the control played now."""
+    H, d_u, d_x = M.shape
+    stack = w_window[gather].reshape(H + 1, H * d_x)
+    offsets = stack @ M.transpose(1, 0, 2).reshape(d_u, H * d_x).T  # (H+1, d_u)
+    return stack, offsets
+
+
+def _surrogate_grad(operators, K, w_window, stack, offsets, cost_fn):
+    """Gradient of surrogate_cost through the precomputed operators, given
+    the window stack and offsets of `_dac_offsets`.
 
     With o_s the DAC offset at counterfactual step s, the terminal state is
     y = sum_s P[s] w_window[s+H] + PB[s] o_s, so the cost's sensitivity to
@@ -195,10 +203,9 @@ def _surrogate_grad(M, operators, K, w_window, cost_fn):
     w_window[s+H-1-h] gives the gradient in M. With the windows as the rows
     of one (H+1, H d_x) matrix and M as (d_u, H d_x), each step is a matmul.
     """
-    P, PB, gather = operators
-    H, d_u, d_x = M.shape
-    stack = w_window[gather].reshape(H + 1, H * d_x)
-    offsets = stack @ M.transpose(1, 0, 2).reshape(d_u, H * d_x).T  # (H+1, d_u)
+    P, PB, _ = operators
+    H, d_u = offsets.shape[0] - 1, offsets.shape[1]
+    d_x = w_window.shape[1]
     y = P @ w_window[H:].ravel() + PB @ offsets[:H].ravel()
     gx, gu = cost_fn.gradient(y, K @ y + offsets[H])
     gu = np.asarray(gu, dtype=float)
@@ -216,7 +223,8 @@ def surrogate_gradient(params: DacParams, A_est, B_est, K, w_window,
     A_est, B_est, K, w_window = _normalize_surrogate_args(A_est, B_est, K,
                                                           w_window, params.H)
     operators = _surrogate_operators(A_est, B_est, K, params.H)
-    return _surrogate_grad(params.M, operators, K, w_window, cost_fn)
+    stack, offsets = _dac_offsets(params.M, w_window, operators[2])
+    return _surrogate_grad(operators, K, w_window, stack, offsets, cost_fn)
 
 
 def _normalize_surrogate_args(A_est, B_est, K, w_window, H):
@@ -256,6 +264,11 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     first "disturbance") and zeros before it. The surrogate's operators are
     built once from (A_est, B_est, K), which stay fixed for the run, and the
     arguments are normalised once, before the loop.
+
+    Each round builds the window stack and the H+1 DAC offsets once, before
+    acting: the control K x_t + offsets[H] and the surrogate gradient share
+    them. x_t is the previous round's x_next (the plant state, read once
+    before the first round).
     """
     if H < 1 or T < 0:
         raise ValueError("H must be >= 1 and T >= 0")
@@ -272,22 +285,25 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     violation = params.max_violation(kappa_star, gamma_tilde)
     M = params.M
     operators = _surrogate_operators(A_est, B_est, K, H)
+    gather = operators[2]
     ring = np.zeros((4 * H, d_x))
     p = 2 * H - 1
-    ring[p] = ring[p + 2 * H] = plant.state
+    x = plant.state
+    ring[p] = ring[p + 2 * H] = x
     total = 0.0
     max_viol = -math.inf
     active = 0
     history = [] if record_params else None
     for _ in range(T):
         window = ring[p + 1:p + 1 + 2 * H]
-        x = plant.state
-        u = _dac_control(K, M, x, window)
+        stack, offsets = _dac_offsets(M, window, gather)
+        u = K @ x + offsets[H]
         outcome = plant.apply(u, phase="gpc")
         total += outcome.cost
         w_hat = _estimate_disturbance(A_est, B_est, x, u, outcome.x_next)
         if eta > 0.0:
-            g = _surrogate_grad(M, operators, K, window, outcome.cost_fn)
+            g = _surrogate_grad(operators, K, window, stack, offsets,
+                                outcome.cost_fn)
             M, over, norms = _project_blocks(M - eta * g, bounds)
             if over.any():  # measure the clipped blocks again
                 active += 1
@@ -298,6 +314,7 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
             history.append(M.copy())
         p = (p + 1) % (2 * H)
         ring[p] = ring[p + 2 * H] = w_hat
+        x = outcome.x_next
     return GpcResult(params=DacParams(M=M), steps=T, total_cost=total,
                      max_constraint_violation=(max_viol if T else 0.0),
                      param_history=history, projection_active_rounds=active)

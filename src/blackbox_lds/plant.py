@@ -26,7 +26,6 @@ from .lds import (
     RunLog,
     StepRecord,
     cost_at,
-    step,
 )
 
 
@@ -91,20 +90,29 @@ class BlackBoxPlant:
         return float(cost.G)
 
     def apply(self, u, phase: str) -> StepOutcome:
-        """Commit control u_t, pay c_t(x_t, u_t), advance to x_{t+1}."""
+        """Commit control u_t, pay c_t(x_t, u_t), advance to x_{t+1}.
+
+        u and w_t are validated once, here, and the transition is lds.step's
+        expression A x + B u + w written inline, so x_{t+1} is bitwise what
+        step returns. The log records x_t itself, not a copy: the plant only
+        rebinds its state to each new array and never writes into one.
+        """
+        sys, x = self._sys, self._x
         u = np.asarray(u, dtype=float).reshape(-1)
-        if u.shape != (self.d_u,):
-            raise DimensionMismatchError("control", (self.d_u,), u.shape)
+        if u.shape != (sys.d_u,):
+            raise DimensionMismatchError("control", (sys.d_u,), u.shape)
         if not np.isfinite(u).all():
             raise NonFiniteValueError("control", self._t)
         cost_fn = cost_at(self._costs, self._t)
-        c = float(cost_fn.value(self._x, u))
-        w = np.asarray(self._dist(self._t, self._x.copy()), dtype=float).reshape(-1)
-        x_next = step(self._sys, self._x, u, w)
+        c = float(cost_fn.value(x, u))
+        w = np.asarray(self._dist(self._t, x.copy()), dtype=float).reshape(-1)
+        if w.shape != (sys.d_x,):
+            raise DimensionMismatchError("disturbance", (sys.d_x,), w.shape)
+        x_next = sys.A @ x + sys.B @ u + w
         if not np.isfinite(x_next).all():
             raise NonFiniteValueError("state", self._t + 1)
-        self._log.append(StepRecord(t=self._t, x=self._x.copy(), u=u.copy(),
-                                    w=w.copy(), cost=c, phase=phase))
+        self._log.append(StepRecord(t=self._t, x=x, u=u.copy(), w=w.copy(),
+                                    cost=c, phase=phase))
         self._x = x_next
         self._t += 1
         return StepOutcome(x_next=x_next.copy(), cost=c, cost_fn=cost_fn)

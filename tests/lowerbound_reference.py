@@ -1,8 +1,8 @@
 """Reference implementations of the lower-bound harness helpers: the
 certainty-equivalent controller that rebuilds X and Y from the history and
 forms A_hat = Y pinv(X), the escape direction taken from the full
-I - rows'rows, the subspace tracker that re-stacks its basis on every
-extend, and the deterministic adversary that restacks its Q and V rows every
+I - rows'rows, the subspace tracker that re-stacks its basis and measures
+the residual again on every extend, and the deterministic adversary that restacks its Q and V rows every
 round and takes ||Q'V|| by SVD. The growable-buffer paths in
 blackbox_lds.lowerbound are checked against them."""
 
@@ -32,7 +32,9 @@ class RefSubspaceTracker:
         r = r - self.basis @ (self.basis.T @ r)
         return r
 
-    def extend(self, v):
+    def extend(self, v, residual=None):
+        # residual is accepted for signature parity and ignored: the
+        # reference always measures the residual again
         v = np.asarray(v, dtype=float)
         r = self.residual(v)
         n = np.linalg.norm(r)

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from blackbox_lds import cli
 from blackbox_lds.cli import main
 from blackbox_lds.stabilize import controller_recovery
 
@@ -256,6 +258,60 @@ class TestLowerboundCommands:
             err = json.loads(capsys.readouterr().out)
             assert err["error"]["kind"] == "runtime"
             assert "construction drifted" in err["error"]["message"]
+
+    @pytest.mark.parametrize("controller,message", [
+        # c_t^2 overflows before the last round, then the recursion drifts
+        ("frozen_random", "construction drifted"),
+        # ||x_t|| overflows to inf at step 326, and with it the final state
+        # norm and the costs: neither CSV nor JSON can hold them
+        ("negative_identity", "non-finite steps.state_norm at step 326"),
+    ])
+    def test_overflow_at_400_is_a_runtime_error(self, tmp_path, capsys,
+                                                controller, message):
+        cfg = _write_config(tmp_path, "cfg.json",
+                            {"experiment": "lowerbound-det", "d_x": 400,
+                             "controller": controller})
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["lowerbound-det", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["kind"] == "runtime"
+        assert message in err["message"]
+        assert not out.exists()
+
+    def test_non_finite_summary_value_is_named(self, tmp_path, capsys,
+                                               monkeypatch):
+        def runner(cfg):
+            return [(1, "p", np.ones(2), np.zeros(1), 1.0)], {
+                "total_cost": 1.0, "h_sq": [1.0, float("nan")]}
+
+        monkeypatch.setitem(cli._RUNNERS, "lowerbound-det", runner)
+        cfg = _write_config(tmp_path, "cfg.json",
+                            {"experiment": "lowerbound-det", "d_x": 4})
+        out = tmp_path / "o"
+        assert main(["lowerbound-det", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"] == "non-finite summary.h_sq[1]"
+        assert not out.exists()
+
+    def test_non_finite_step_is_named_and_nothing_written(self, tmp_path,
+                                                          capsys, monkeypatch):
+        def runner(cfg):
+            steps = [(1, "p", np.ones(2), np.zeros(1), 1.0),
+                     (2, "p", np.ones(2), np.zeros(1), float("inf"))]
+            return steps, {"total_cost": 1.0}
+
+        monkeypatch.setitem(cli._RUNNERS, "lowerbound-det", runner)
+        cfg = _write_config(tmp_path, "cfg.json",
+                            {"experiment": "lowerbound-det", "d_x": 4})
+        out = tmp_path / "o"
+        assert main(["lowerbound-det", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"] == "non-finite steps.cost at step 2"
+        assert not out.exists()
 
     def test_randomized_trial_summary(self, tmp_path):
         cfg = _write_config(tmp_path, "cfg.json",

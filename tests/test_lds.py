@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blackbox_lds import (
     ClippedGaussianDisturbance,
@@ -175,11 +176,56 @@ class TestDisturbances:
             w = dist(t, rng.normal(size=3))
             assert np.linalg.norm(w) <= 1.0 + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), d_x=st.integers(1, 40), t=st.integers(1, 10**6))
+    def test_unit_norm_property(self, data, d_x, t):
+        # ||w_t|| <= 1 for every built-in source, at any round and any state:
+        # zero, huge and tiny states included. The slack is the rounding of a
+        # unit vector and of its computed norm, a d_x-term sum of squares
+        bound = 1.0 + (d_x + 2) * np.finfo(float).eps
+        x = data.draw(hnp.arrays(float, d_x, elements=st.floats(-1.0, 1.0)))
+        # the second band is where ||x||^2 is subnormal
+        x *= 2.0 ** data.draw(st.one_of(st.integers(-1070, 1020),
+                                        st.integers(-540, -505)))
+        sources = [
+            ZeroDisturbance(),
+            ClippedGaussianDisturbance(
+                d_x, scale=data.draw(st.floats(1e-3, 1e6)),
+                seed=data.draw(st.integers(0, 2**32 - 1))),
+            SinusoidalDisturbance(
+                d_x, omega=data.draw(st.floats(-10.0, 10.0)),
+                phases=data.draw(st.one_of(st.none(), hnp.arrays(
+                    float, d_x, elements=st.floats(-1e3, 1e3)))),
+                amplitude=data.draw(st.floats(0.0, 1.0, exclude_min=True))),
+        ]
+        sign = SignAdversarialDisturbance(
+            scale=data.draw(st.floats(0.0, 1.0, exclude_min=True)))
+        rows = data.draw(hnp.arrays(float, (3, d_x),
+                                    elements=st.floats(-1e3, 1e3)))
+        rows /= np.maximum(np.linalg.norm(rows, axis=1), 1.0)[:, None]
+        replay = ReplayDisturbance(rows)
+        for dist in sources:
+            w = dist(t, x.copy())
+            assert w.shape == (d_x,)
+            assert np.linalg.norm(w) <= bound
+        for i in range(1, 4):
+            assert np.linalg.norm(replay(i, x)) <= bound
+        # the sign adversary pushes at full scale against any nonzero state
+        w = sign(t, x.copy())
+        want = sign.scale if x.any() else 0.0
+        assert abs(np.linalg.norm(w) - want) <= (d_x + 2) * np.finfo(float).eps
+
     def test_sign_adversarial_direction(self):
         dist = SignAdversarialDisturbance()
         w = dist(1, np.array([3.0, 4.0]))
         assert np.allclose(w, [-0.6, -0.8])
         assert np.array_equal(dist(2, np.zeros(2)), np.zeros(2))
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1070, 1e-160, 1e200, 1e307])
+    def test_sign_adversarial_direction_at_extreme_states(self, scale):
+        # ||x||^2 underflows or overflows here; the direction must not
+        w = SignAdversarialDisturbance()(1, scale * np.array([3.0, 4.0]))
+        assert np.allclose(w, [-0.6, -0.8], rtol=1e-15, atol=0.0)
 
     def test_replay_checks_norm(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,13 @@ class TestSubspaceTracker:
             h = tr.residual(rng.normal(size=8))
             assert np.abs(tr.basis.T @ h).max() <= 1e-10
 
+    def test_extend_with_its_residual_matches_extend(self, rng):
+        a, b = SubspaceTracker(6), SubspaceTracker(6)
+        for _ in range(8):
+            v = rng.normal(size=6)
+            assert a.extend(v) == b.extend(v, residual=b.residual(v))
+        assert np.array_equal(a.basis, b.basis)
+
     def test_dependent_vector_does_not_grow_rank(self):
         tr = SubspaceTracker(3)
         assert tr.extend([1.0, 0.0, 0.0])
@@ -215,6 +222,21 @@ class TestRandomizedTrial:
                 assert t.final_state_norm**2 >= 2.0 ** (T - 1)
         assert ok >= 19
 
+    def test_two_residuals_per_round(self, monkeypatch):
+        # h_t is measured once and reused to extend the span by x_t; only
+        # u_t's residual is taken inside extend
+        calls = []
+        original = SubspaceTracker.residual
+
+        def counting(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(SubspaceTracker, "residual", counting)
+        t = randomized_lb_trial(frozen_random_controller, 80, 40.0, seed=3)
+        assert len(t.steps) == 10
+        assert len(calls) == 2 * len(t.steps)
+
     def test_first_residual_is_initial_state(self):
         t = randomized_lb_trial(zero_controller, 40, 40.0, seed=2)
         assert t.steps[0].h_sq == pytest.approx(1.0)
@@ -266,6 +288,53 @@ class TestDeterministicAdversary:
     def test_dimension_precondition(self):
         with pytest.raises(ValueError):
             deterministic_adversary(zero_controller, 1)
+
+    def test_each_instance_owns_one_growing_history(self):
+        # the controller and its witness each get one list for the whole
+        # attack, one state longer on every call, never a rebuilt copy
+        seen = []
+
+        def spy_factory():
+            calls = []
+            seen.append(calls)
+
+            def act(history):
+                calls.append((history, len(history)))
+                return negative_identity_controller()(history)
+
+            return act
+
+        d_x = 12
+        deterministic_adversary(spy_factory, d_x)
+        assert len(seen) == 2
+        for calls in seen:
+            assert len(calls) == d_x - 1
+            assert len({id(h) for h, _ in calls}) == 1
+            assert [n for _, n in calls] == list(range(1, d_x))
+            assert len(calls[0][0]) == d_x  # the last state was appended too
+        assert seen[0][0][0] is not seen[1][0][0]
+
+    def test_controller_may_write_into_its_history(self):
+        # a deterministic controller that zeroes the state it has read is
+        # still deterministic: neither instance sees the other's writes, and
+        # the transcript is that of the twin that leaves its history alone
+        def reading(history):
+            return 0.5 * history[-1]
+
+        def writing_factory():
+            def act(history):
+                u = reading(history)
+                history[-1][:] = 0.0
+                return u
+
+            return act
+
+        got = deterministic_adversary(writing_factory, 8)
+        want = deterministic_adversary(lambda: reading, 8)
+        assert got.c_diag == want.c_diag and got.a_next == want.a_next
+        assert got.total_cost == want.total_cost
+        for a, b in zip(got.steps, want.steps, strict=True):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
 
     @pytest.mark.parametrize("name", ["zero", "negative_identity",
                                       "certainty_equivalent"])
