@@ -363,6 +363,22 @@ def _transcript_steps(transcript, phase):
             for s in transcript.steps)
 
 
+def _comparator_fields(comparator):
+    """summary.json's comparator fields, all None outside simulation mode.
+    The projected-gradient norm is None when no step was ever accepted
+    (the comparator reports it as inf)."""
+    if comparator is None:
+        return dict.fromkeys(("comparator_cost", "comparator_converged",
+                              "comparator_iterations", "comparator_grad_norm"))
+    grad_norm = comparator.grad_norm
+    return {
+        "comparator_cost": comparator.cost,
+        "comparator_converged": comparator.converged,
+        "comparator_iterations": comparator.iterations,
+        "comparator_grad_norm": grad_norm if math.isfinite(grad_norm) else None,
+    }
+
+
 # -- experiments --------------------------------------------------------------
 # Each runner returns its (t, phase, x, u, cost) steps and its own summary
 # fields; dispatch writes steps.csv and summary.json.
@@ -386,9 +402,7 @@ def _run_pipeline_experiment(cfg):
         "phase_costs": report.phase_costs,
         "total_cost": report.total_cost,
         "regret": report.regret_value,
-        "comparator_cost": report.comparator.cost if report.comparator else None,
-        "comparator_converged": report.comparator.converged
-        if report.comparator else None,
+        **_comparator_fields(report.comparator),
         "A_hat": report.estimates.A_hat,
         "B_hat": report.estimates.B_hat,
         "estimate_error_A": err_A,

@@ -23,7 +23,13 @@ blocks over their bound.
 
 The offline comparator (best DAC in hindsight) minimizes the true
 counterfactual cost over the same constraint set by projected gradient
-descent with backtracking.
+descent with backtracking. Each candidate costs one forward rollout of T
+steps and each accepted iterate one adjoint pass of T steps. What does not
+depend on the previous step (the DAC offsets du_t, B du_t and B' lam_t) is
+one batched product outside the loops, so a step is one matrix-vector
+product and two adds forward, one product and one add backward. The
+forward step adds w_t last, x_{t+1} = (A_cl x_t + B du_t) + w_t;
+pre-summing B du_t + w_t would save an add but round differently.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError
 from .lds import CostFunction, CostSpec, LinearSystem, cost_at
@@ -324,23 +331,29 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
 
 def _dac_trajectory(sys: LinearSystem, K, M, w_seq, x1):
     """States/controls of the fixed-M DAC on the true system under the
-    recorded disturbances (w_s = 0 for s < 1). Returns (X, U, Wdesc) where
-    Wdesc[t] rows are w_{t-1}, ..., w_{t-H} for the control at round t+1."""
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
+    recorded disturbances (w_s = 0 for s < 1), for a (T, d_x) w_seq and a
+    (d_x,) x1. Returns (X, U, Wdesc) where Wdesc[t] rows are w_{t-1}, ...,
+    w_{t-H} for the control at round t+1.
+
+    The offsets du_t and their images B du_t are batched products; each of
+    the T-1 steps is then one matrix-vector product and two adds,
+    x_{t+1} = (A_cl x_t + B du_t) + w_t (B du_t + w_t is not pre-summed,
+    which would round differently)."""
     T = len(w_seq)
     H = M.shape[0]
     d_x = sys.d_x
     Wpad = np.vstack([np.zeros((H, d_x)), w_seq])
-    # windows[t] = rows (w_{t-H+1+j})... build descending windows per round
-    from numpy.lib.stride_tricks import sliding_window_view
     asc = sliding_window_view(Wpad, (H, d_x)).reshape(T + 1, H, d_x)[:T]
     Wdesc = asc[:, ::-1, :]  # Wdesc[t-1] = [w_{t-1}, ..., w_{t-H}] for round t
     du_all = np.einsum("hux,thx->tu", M, Wdesc)
-    Acl = sys.A + sys.B @ np.atleast_2d(K)
+    # a stacked matrix-vector product, bitwise equal to B @ du_all[t]
+    Bdu = np.matmul(sys.B, du_all[:, :, None])[:, :, 0]
+    step = (sys.A + sys.B @ np.atleast_2d(K)).dot
     X = np.empty((T, d_x))
-    X[0] = np.asarray(x1, dtype=float)
-    for t in range(T - 1):
-        X[t + 1] = Acl @ X[t] + sys.B @ du_all[t] + w_seq[t]
+    x = X[0] = x1
+    for x_next, b, w in zip(X[1:], Bdu, w_seq):
+        x = step(x) + b + w
+        x_next[...] = x
     U = X @ np.atleast_2d(K).T + du_all
     return X, U, Wdesc
 
@@ -367,13 +380,33 @@ def _rollout_cost(sys: LinearSystem, K, M, w_seq, costs: CostSpec, x1):
     return total, trajectory
 
 
+def _comparator_inputs(sys: LinearSystem, w_seq, x1):
+    """w_seq as a (T, d_x) array with T >= 1 and x1 as a (d_x,) array;
+    any other shape raises DimensionMismatchError."""
+    w_seq = np.asarray(w_seq, dtype=float)
+    if w_seq.ndim != 2 or len(w_seq) < 1 or w_seq.shape[1] != sys.d_x:
+        raise DimensionMismatchError("disturbance sequence", ("T >= 1", sys.d_x),
+                                     w_seq.shape)
+    x1 = np.asarray(x1, dtype=float)
+    if x1.shape != (sys.d_x,):
+        raise DimensionMismatchError("initial state", (sys.d_x,), x1.shape)
+    return w_seq, x1
+
+
 def dac_total_cost(sys: LinearSystem, K, M, w_seq, costs: CostSpec, x1) -> float:
+    """Total cost of the fixed-M DAC over the T rounds of w_seq from x1."""
+    w_seq, x1 = _comparator_inputs(sys, w_seq, x1)
     return _rollout_cost(sys, K, M, w_seq, costs, x1)[0]
 
 
 def _dac_gradient(sys: LinearSystem, K, trajectory, costs: CostSpec) -> np.ndarray:
     """dJ/dM along a trajectory from `_rollout_cost`, by one adjoint pass
-    (no second forward rollout)."""
+    (no second forward rollout).
+
+    The co-states lam_{t+1} = dJ/dx_{t+1} are the rows of one array: each
+    of the T-1 backward steps is one matrix-vector product and one add,
+    lam_t = base_t + A_cl' lam_{t+1}. The offset sensitivities
+    s_t = gu_t + B' lam_{t+1} are then one batched product."""
     X, U, Wdesc = trajectory
     K = np.atleast_2d(np.asarray(K, dtype=float))
     batch = _batch_cost(costs)
@@ -386,15 +419,15 @@ def _dac_gradient(sys: LinearSystem, K, trajectory, costs: CostSpec) -> np.ndarr
         gu = np.empty_like(U)
         for t in range(len(X)):
             gx[t], gu[t] = cost_at(costs, t + 1).gradient(X[t], U[t])
-    Acl = (sys.A + sys.B @ K).T
-    Bt = sys.B.T
-    # adjoint pass: lam_t = d J / d x_t, s_t = d J / d (DAC offset at t)
+    step = (sys.A + sys.B @ K).T.dot
     base = gx + gu @ K
-    S = np.empty_like(U)
-    lam = np.zeros(sys.d_x)
-    for t in range(len(X) - 1, -1, -1):
-        S[t] = gu[t] + Bt @ lam
-        lam = base[t] + Acl @ lam
+    L = np.empty_like(X)  # L[t] = lam_{t+1}, with lam_{T+1} = 0
+    L[-1] = 0.0
+    lam = L[-1]
+    for lam_prev, b in zip(L[-2::-1], base[:0:-1]):
+        lam = b + step(lam)
+        lam_prev[...] = lam
+    S = gu + np.matmul(sys.B.T, L[:, :, None])[:, :, 0]
     return np.einsum("tu,thx->hux", S, Wdesc)
 
 
@@ -415,8 +448,12 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
     are affine in M). Deterministic given its inputs; the returned grad_norm
     is the projected-gradient stationarity measure at the solution. Each
     gradient reuses the trajectory the accepted cost was summed over, so an
-    iteration costs one forward rollout per candidate plus one adjoint pass."""
-    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
+    iteration costs one forward rollout per candidate plus one adjoint pass:
+    T-1 steps of one matrix-vector product each (see `_dac_trajectory` and
+    `_dac_gradient`; B du_t + w_t is not pre-summed, so the rounding is that
+    of a plain step-by-step rollout). w_seq must be (T, d_x) with T >= 1 and
+    x1 (d_x,), else DimensionMismatchError."""
+    w_seq, x1 = _comparator_inputs(sys, w_seq, x1)
     params = DacParams.zeros(H, sys.d_u, sys.d_x)
     J, trajectory = _rollout_cost(sys, K, params.M, w_seq, costs, x1)
     g = _dac_gradient(sys, K, trajectory, costs)

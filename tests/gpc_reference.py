@@ -1,7 +1,8 @@
 """Reference implementations of the GPC projection, online loop and
 comparator: per-block projection (SVD, and the closed form for vector
 blocks), the step-by-step online loop (history rebuilt by np.vstack, forward
-rollout and reverse accumulation over the horizon), and the best DAC in
+rollout and reverse accumulation over the horizon), the comparator's forward
+rollout and adjoint pass as plain per-step loops, and the best DAC in
 hindsight that rolls the accepted trajectory out a second time for its
 gradient, against which the paths in blackbox_lds.nsc are checked."""
 
@@ -9,16 +10,10 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from blackbox_lds.lds import cost_at
-from blackbox_lds.nsc import (
-    DacParams,
-    HindsightResult,
-    _batch_cost,
-    _dac_trajectory,
-    dac_total_cost,
-    project_M,
-)
+from blackbox_lds.nsc import DacParams, HindsightResult, _batch_cost, project_M
 
 
 def ref_project(M, bounds):
@@ -84,8 +79,39 @@ def ref_gpc_run(plant, K, kappa, gamma, H, eta, T, A, B):
     return total, history, active
 
 
+def ref_dac_trajectory(sys, K, M, w_seq, x1):
+    # (X, U, Wdesc) of the fixed-M DAC, one state per step:
+    # x_{t+1} = A_cl x_t + B du_t + w_t
+    w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
+    T = len(w_seq)
+    H = M.shape[0]
+    d_x = sys.d_x
+    Wpad = np.vstack([np.zeros((H, d_x)), w_seq])
+    asc = sliding_window_view(Wpad, (H, d_x)).reshape(T + 1, H, d_x)[:T]
+    Wdesc = asc[:, ::-1, :]
+    du_all = np.einsum("hux,thx->tu", M, Wdesc)
+    Acl = sys.A + sys.B @ np.atleast_2d(K)
+    X = np.empty((T, d_x))
+    X[0] = np.asarray(x1, dtype=float)
+    for t in range(T - 1):
+        X[t + 1] = Acl @ X[t] + sys.B @ du_all[t] + w_seq[t]
+    U = X @ np.atleast_2d(K).T + du_all
+    return X, U, Wdesc
+
+
+def ref_dac_cost(sys, K, M, w_seq, costs, x1):
+    X, U, _ = ref_dac_trajectory(sys, K, M, w_seq, x1)
+    batch = _batch_cost(costs)
+    if batch is not None:
+        return float(np.sum(batch.batch_value(X, U)))
+    total = 0.0
+    for t in range(len(X)):
+        total += float(cost_at(costs, t + 1).value(X[t], U[t]))
+    return total
+
+
 def ref_dac_cost_and_gradient(sys, K, M, w_seq, costs, x1):
-    X, U, Wdesc = _dac_trajectory(sys, K, M, w_seq, x1)
+    X, U, Wdesc = ref_dac_trajectory(sys, K, M, w_seq, x1)
     T = len(X)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     batch = _batch_cost(costs)
@@ -132,7 +158,7 @@ def ref_best_dac_in_hindsight(sys, w_seq, costs, K, H, kappa, gamma, x1,
             cand = project_M(DacParams(M=params.M - step * g), kappa, gamma)
             delta = params.M - cand.M
             decrease = float(np.sum(g * delta))
-            J_cand = dac_total_cost(sys, K, cand.M, w_seq, costs, x1)
+            J_cand = ref_dac_cost(sys, K, cand.M, w_seq, costs, x1)
             if J_cand <= J - 1e-4 * decrease:
                 pg_norm = float(np.linalg.norm(delta)) / step
                 improvement = J - J_cand

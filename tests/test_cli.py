@@ -60,6 +60,39 @@ class TestPipelineCommand:
         assert summary["sdp_violation"] <= 1e-9
         assert summary["sdp_affine_residual"] <= 1e-9
 
+    def test_comparator_fields(self, tmp_path, monkeypatch):
+        from blackbox_lds import pipeline
+        results = []
+        comparator = pipeline.best_dac_in_hindsight
+
+        def spy(*args, **kwargs):
+            results.append(comparator(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pipeline, "best_dac_in_hindsight", spy)
+        cfg = _write_config(tmp_path, "cfg.json", PIPELINE_CFG)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads(_read(out / "summary.json"))
+        (result,) = results
+        assert 1 < result.iterations <= PIPELINE_CFG["options"]["comparator_iters"]
+        assert np.isfinite(result.grad_norm)
+        assert summary["comparator_cost"] == result.cost
+        assert summary["comparator_converged"] == result.converged
+        assert summary["comparator_iterations"] == result.iterations
+        assert summary["comparator_grad_norm"] == result.grad_norm
+
+    def test_unmeasured_comparator_grad_norm_is_null(self):
+        # no accepted step leaves the stationarity measure at inf, which
+        # JSON cannot hold
+        from blackbox_lds.nsc import DacParams, HindsightResult
+        result = HindsightResult(params=DacParams.zeros(1, 1, 1), cost=1.0,
+                                 grad_norm=float("inf"), iterations=1,
+                                 converged=True)
+        fields = cli._comparator_fields(result)
+        assert fields["comparator_grad_norm"] is None
+        assert fields["comparator_iterations"] == 1
+
     def test_seed_changes_output(self, tmp_path):
         cfg = _write_config(tmp_path, "cfg.json",
                             {**PIPELINE_CFG,

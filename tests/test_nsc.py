@@ -21,9 +21,18 @@ from blackbox_lds import (
     surrogate_cost,
     surrogate_gradient,
 )
-from blackbox_lds.nsc import DacParams, _project_blocks, dac_total_cost
+from blackbox_lds.errors import DimensionMismatchError
+from blackbox_lds.nsc import (
+    DacParams,
+    _dac_gradient,
+    _dac_trajectory,
+    _project_blocks,
+    dac_total_cost,
+)
 from gpc_reference import (
     ref_best_dac_in_hindsight,
+    ref_dac_cost_and_gradient,
+    ref_dac_trajectory,
     ref_gpc_run,
     ref_project,
     ref_project_vectors,
@@ -507,14 +516,96 @@ class TestComparatorAgainstReference:
         _assert_same_hindsight(best_dac_in_hindsight(*args, iters=40), ref)
 
     def test_per_round_cost_list(self, rng):
-        # a list of costs has no batch callbacks: the per-round loop path
         sys, K, _, _ = _mimo_instance(rng, 2, 2)
         T = 120
-        costs = [CostFunction.weighted_quadratic(
-            np.diag(rng.uniform(0.5, 2.0, size=2)), np.eye(2) * (1 + t % 3))
-            for t in range(T)]
+        costs = _per_round_costs(rng, T, 2, 2)
         w = rng.uniform(-0.5, 0.5, size=(T, 2))
         args = (sys, w, costs, K, 3, 2.0, 0.3, np.ones(2))
         ref = ref_best_dac_in_hindsight(*args, iters=30)
         assert ref.iterations > 1
         _assert_same_hindsight(best_dac_in_hindsight(*args, iters=30), ref)
+
+
+def _per_round_costs(rng, T, d_x, d_u):
+    # a list of costs has no batch callbacks: the per-round loop path
+    return [CostFunction.weighted_quadratic(
+        np.diag(rng.uniform(0.5, 2.0, size=d_x)), np.eye(d_u) * (1 + t % 3))
+        for t in range(T)]
+
+
+def _assert_loops_match_reference(sys, K, M, w, costs, x1):
+    trajectory = _dac_trajectory(sys, K, M, w, x1)
+    for got, want in zip(trajectory, ref_dac_trajectory(sys, K, M, w, x1)):
+        assert np.array_equal(got, want)
+    cost, grad = ref_dac_cost_and_gradient(sys, K, M, w, costs, x1)
+    assert np.array_equal(_dac_gradient(sys, K, trajectory, costs), grad)
+    assert dac_total_cost(sys, K, M, w, costs, x1) == cost
+
+
+LOOP_SHAPES = [(1, 1), (3, 2), (2, 3), (4, 1), (1, 3), (8, 3), (16, 4), (20, 5)]
+
+
+class TestComparatorLoopsAgainstReference:
+    """The comparator's forward rollout and adjoint pass take the products
+    that do not depend on the previous step out of their loops; the
+    reference (tests/gpc_reference.py) steps them one by one. Each add
+    happens in the same order, so states, controls, cost and gradient must
+    be bit-identical."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 777])
+    @pytest.mark.parametrize("d_x, d_u", LOOP_SHAPES)
+    def test_quadratic(self, d_x, d_u, T):
+        rng = np.random.default_rng([d_x, d_u, T])
+        sys, K, _, _ = _mimo_instance(rng, d_x, d_u)
+        M = 0.3 * rng.normal(size=(3, d_u, d_x))
+        w = rng.uniform(-0.5, 0.5, size=(T, d_x))
+        _assert_loops_match_reference(sys, K, M, w, QUAD, rng.normal(size=d_x))
+
+    @pytest.mark.parametrize("d_x, d_u", [(1, 1), (3, 2), (2, 3)])
+    def test_per_round_cost_list(self, d_x, d_u):
+        rng = np.random.default_rng([d_x, d_u])
+        sys, K, _, _ = _mimo_instance(rng, d_x, d_u)
+        T = 60
+        M = 0.3 * rng.normal(size=(4, d_u, d_x))
+        w = rng.uniform(-0.5, 0.5, size=(T, d_x))
+        _assert_loops_match_reference(sys, K, M, w,
+                                      _per_round_costs(rng, T, d_x, d_u),
+                                      rng.normal(size=d_x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d_x=st.integers(1, 6), d_u=st.integers(1, 6), T=st.integers(1, 80),
+           H=st.integers(1, 5), radius=st.floats(0.05, 1.2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property(self, d_x, d_u, T, H, radius, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(d_x, d_x))
+        A *= radius / max(max(abs(np.linalg.eigvals(A))), 1e-3)
+        sys = LinearSystem(A, rng.normal(size=(d_x, d_u)))
+        K = 0.2 * rng.normal(size=(d_u, d_x))
+        M = rng.normal(size=(H, d_u, d_x))
+        w = rng.uniform(-1.0, 1.0, size=(T, d_x))
+        _assert_loops_match_reference(sys, K, M, w, QUAD, rng.normal(size=d_x))
+
+
+class TestComparatorInputs:
+    """w_seq must be (T >= 1, d_x) and x1 (d_x,): anything else is refused
+    by name instead of failing inside numpy or being broadcast."""
+
+    SYS = LinearSystem(0.5 * np.eye(2), np.eye(2))
+    K = -0.1 * np.eye(2)
+
+    @pytest.mark.parametrize("w_seq, x1", [
+        (np.zeros((0, 2)), np.ones(2)),
+        (np.zeros(5), np.ones(2)),
+        (np.zeros((5, 3)), np.ones(2)),
+        (np.zeros((5, 1)), np.ones(2)),
+        (np.zeros((5, 2)), 1.0),
+        (np.zeros((5, 2)), np.ones(3)),
+        (np.zeros((5, 2)), np.ones((1, 2))),
+    ], ids=["empty", "1-D", "too wide", "too narrow", "scalar x1",
+            "long x1", "2-D x1"])
+    def test_refused(self, w_seq, x1):
+        with pytest.raises(DimensionMismatchError):
+            dac_total_cost(self.SYS, self.K, np.zeros((2, 2, 2)), w_seq, QUAD, x1)
+        with pytest.raises(DimensionMismatchError):
+            best_dac_in_hindsight(self.SYS, w_seq, QUAD, self.K, 2, 2.0, 0.3, x1)
