@@ -140,8 +140,8 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
         _require(key in allowed, key, "unknown key")
     for key in schema["required"]:
         _require(key in cfg, key, "missing required key")
-    if "plant" in cfg:
-        _validate_plant(cfg["plant"])
+    if "plant" in cfg:  # every schema with a disturbance or a cost has one
+        d_x, d_u = _validate_plant(cfg["plant"])
     if "prior" in cfg:
         p = cfg["prior"]
         _require_object(p, "prior", {"k", "kappa", "beta"})
@@ -158,12 +158,11 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
         for key in ("scale", "omega", "amplitude"):
             _require(_is_number(d.get(key, 0.0)), f"disturbance.{key}",
                      "must be a number")
-        phases = d.get("phases", 0.0)
-        _require(_is_number(phases) or (isinstance(phases, list) and all(
-            _is_number(v) for v in phases)), "disturbance.phases",
-            "must be a number or a list of numbers")
+        _require(_is_number(d.get("phases", 0.0))
+                 or _is_vector(d["phases"], d_x), "disturbance.phases",
+                 f"must be a number or a list of {d_x} numbers")
     if "cost" in cfg:
-        _validate_cost(cfg["cost"], cfg["plant"])
+        _validate_cost(cfg["cost"], d_x, d_u)
     if "overrides" in cfg:
         _require(isinstance(cfg["overrides"], dict), "overrides",
                  "must be an object")
@@ -181,10 +180,8 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
                      "must be true or false")
         _require(_is_count(o.get("comparator_iters", 1)), "options.comparator_iters",
                  "must be a positive integer")
-    for key in ("A_hat", "B_hat"):
-        if key in cfg:
-            _require(isinstance(cfg[key], list), key,
-                     "must be a matrix as nested lists")
+    if subcommand == "recover":
+        _system_shape(cfg["A_hat"], cfg["B_hat"], "A_hat", "B_hat")
     for key in ("eps", "kappa_prime", "gamma_prime", "gamma"):
         if key in cfg:
             _require(_is_number(cfg[key]), key, "must be a number")
@@ -199,22 +196,25 @@ def validate_config(subcommand: str, cfg: dict) -> dict:
     return cfg
 
 
-def _validate_plant(p):
+def _validate_plant(p) -> tuple:
+    """(d_x, d_u) of a valid plant object."""
     _require_object(p, "plant", _PLANT_KEYS)
-    if p["kind"] == "explicit":
-        for key in ("A", "B"):
-            _require(key in p and isinstance(p[key], list), f"plant.{key}",
-                     "must be a matrix as nested lists")
-    else:
+    if p["kind"] == "random":
         for key in ("d_x", "d_u"):
             _require(_is_count(p.get(key)), f"plant.{key}",
                      "must be a positive integer")
+        return p["d_x"], p["d_u"]
+    d_x, d_u = _system_shape(p.get("A"), p.get("B"), "plant.A", "plant.B")
+    _require("x1" not in p or _is_vector(p["x1"], d_x), "plant.x1",
+             f"must be a list of {d_x} numbers")
+    return d_x, d_u
 
 
 def _matrix_shape(value):
-    """(rows, cols) of a matrix given as nested lists of numbers, else None."""
+    """(rows, cols) of a non-empty matrix given as nested lists of numbers,
+    else None."""
     if not (isinstance(value, list) and value
-            and all(isinstance(row, list) for row in value)):
+            and all(isinstance(row, list) and row for row in value)):
         return None
     cols = len(value[0])
     if not all(len(row) == cols and all(_is_number(v) for v in row)
@@ -223,16 +223,31 @@ def _matrix_shape(value):
     return len(value), cols
 
 
-def _validate_cost(c, plant):
+def _is_vector(value, dim) -> bool:
+    return (isinstance(value, list) and len(value) == dim
+            and all(_is_number(v) for v in value))
+
+
+def _system_shape(A, B, path_A, path_B) -> tuple:
+    """(d_x, d_u) of an explicit pair: A is a d_x-by-d_x matrix of numbers,
+    B a d_x-by-d_u one or, for a single input, a flat list of d_x numbers."""
+    shape = _matrix_shape(A)
+    _require(shape is not None and shape[0] == shape[1], path_A,
+             "must be a square matrix as nested lists of numbers")
+    d_x = shape[0]
+    if _is_vector(B, d_x):
+        return d_x, 1
+    shape = _matrix_shape(B)
+    _require(shape is not None and shape[0] == d_x, path_B,
+             f"must be a matrix of {d_x} rows as nested lists of numbers, "
+             f"or a list of {d_x} numbers")
+    return shape
+
+
+def _validate_cost(c, d_x, d_u):
     _require_object(c, "cost", _COST_KEYS)
     if c["kind"] != "weighted_quadratic":
         return
-    if plant["kind"] == "random":
-        d_x, d_u = plant["d_x"], plant["d_u"]
-    else:  # B may be a flat list for a single input
-        B = plant["B"]
-        d_x = len(plant["A"])
-        d_u = len(B[0]) if B and isinstance(B[0], list) else 1
     for key, dim in (("Q", d_x), ("R", d_u)):
         _require(key in c, f"cost.{key}", "missing required key")
         _require(_matrix_shape(c[key]) == (dim, dim), f"cost.{key}",
@@ -354,7 +369,8 @@ def _csv_text(steps) -> tuple:
 
 
 def _log_steps(log):
-    return ((r.t, r.phase, r.x, r.u, r.cost) for r in log.records)
+    return zip(range(1, len(log) + 1), log.phases, log.states(),
+               log.controls(), log.costs().tolist())
 
 
 def _transcript_steps(transcript, phase):

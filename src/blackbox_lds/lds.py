@@ -1,7 +1,8 @@
 """Core linear-dynamical-system model: plant data types, disturbance and cost
-abstractions, the trajectory record, the one-step transition, and
-controllability / stability primitives. The stepping loop itself lives in
-plant.py (BlackBoxPlant.apply, driven by simulate).
+abstractions, the columnar run log and the row buffer `_Rows` it shares with
+lowerbound, the one-step transition, and controllability / stability
+primitives. The stepping loop itself lives in plant.py (BlackBoxPlant.apply,
+driven by simulate).
 
 Conventions: matrix norms are spectral, vector norms Euclidean. States evolve as
 x_{t+1} = A x_t + B u_t + w_t with bounded disturbances ||w_t|| <= 1.
@@ -10,7 +11,7 @@ x_{t+1} = A x_t + B u_t + w_t with bounded disturbances ||w_t|| <= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -24,8 +25,11 @@ from .errors import (
 # Scale-free rank threshold: sigma_min < RANK_RTOL * sigma_max means rank deficient.
 RANK_RTOL = 1e-10
 
-# The range of the largest |entry| of a vector in which its sum of squares
-# neither overflows nor underflows past the last digits
+# certify_strong_stability's caps on cond(H) and on the relative residual
+_CERT_COND_CAP, _CERT_RESIDUAL_TOL = 1e8, 1e-8
+
+# The range of the largest |entry| in which sums of squares neither overflow
+# nor underflow past the last digits (also lowerbound's Gram-matrix guard)
 _NORM_SAFE_RANGE = (2.0 ** -400, 2.0 ** 400)
 
 
@@ -192,7 +196,6 @@ class CostFunction:
     value: Callable[[np.ndarray, np.ndarray], float]
     gradient: Callable[[np.ndarray, np.ndarray], tuple]
     G: float
-    convex: bool = True
     batch_value: Optional[Callable] = None
     batch_gradient: Optional[Callable] = None
 
@@ -256,46 +259,71 @@ class StabilityCertificate:
         return spectral_norm(self.closed_loop(sys) - recon)
 
 
-@dataclass
-class StepRecord:
-    t: int
-    x: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    cost: float
-    phase: str
+class _Rows:
+    """Rows appended one at a time to a buffer whose capacity doubles when it
+    fills (never past max_rows), so n appends copy O(n) rows in all instead
+    of O(n^2); `view` is the (n, width) block written so far."""
+
+    def __init__(self, width: int, max_rows: Optional[int] = None):
+        self.max_rows = max_rows
+        capacity = 8 if max_rows is None else min(8, max_rows)
+        self.data = np.zeros((capacity, width))
+        self.n = 0
+
+    @property
+    def view(self) -> np.ndarray:
+        return self.data[: self.n]
+
+    def append(self, row) -> None:
+        if self.n == len(self.data):
+            capacity = 2 * len(self.data)
+            if self.max_rows is not None:
+                capacity = min(capacity, self.max_rows)
+            grown = np.zeros((capacity, self.data.shape[1]))
+            grown[: self.n] = self.view
+            self.data = grown
+        self.data[self.n] = row
+        self.n += 1
 
 
-@dataclass
 class RunLog:
-    """Per-step trajectory records plus the running cost, overall and per
-    phase (phases in order of first appearance), each summed one record at
-    a time in round order."""
+    """One run as columns: round t is row t-1 of states(), controls(),
+    disturbances() and costs(), each a copy of a float64 `_Rows` buffer that
+    append copies x_t, u_t, w_t and c_t into, and entry t-1 of `phases`. The
+    running cost, overall and per phase (phases in order of first
+    appearance), is summed one round at a time in round order."""
 
-    records: list = field(default_factory=list)
-    cumulative_cost: float = 0.0
-    seed: Optional[int] = None
-    phase_costs: dict = field(default_factory=dict)
+    def __init__(self, d_x: int, d_u: int, seed: Optional[int] = None):
+        self.seed = seed
+        self.cumulative_cost = 0.0
+        self.phase_costs = {}
+        self.phases = []
+        self._x, self._u, self._w = _Rows(d_x), _Rows(d_u), _Rows(d_x)
+        self._cost = _Rows(1)
 
-    def append(self, record: StepRecord):
-        if self.records and record.t != self.records[-1].t + 1:
-            raise ValueError("records must be contiguous in t")
-        self.records.append(record)
-        self.cumulative_cost += record.cost
-        self.phase_costs[record.phase] = (self.phase_costs.get(record.phase, 0.0)
-                                          + record.cost)
+    def append(self, x, u, w, cost: float, phase: str):
+        self._x.append(x)
+        self._u.append(u)
+        self._w.append(w)
+        self._cost.append(cost)
+        self.phases.append(phase)
+        self.cumulative_cost += cost
+        self.phase_costs[phase] = self.phase_costs.get(phase, 0.0) + cost
 
     def __len__(self):
-        return len(self.records)
+        return len(self.phases)
 
     def states(self) -> np.ndarray:
-        return np.array([r.x for r in self.records])
+        return self._x.view.copy()
 
     def controls(self) -> np.ndarray:
-        return np.array([r.u for r in self.records])
+        return self._u.view.copy()
 
     def disturbances(self) -> np.ndarray:
-        return np.array([r.w for r in self.records])
+        return self._w.view.copy()
+
+    def costs(self) -> np.ndarray:
+        return self._cost.view[:, 0].copy()
 
 
 def step(sys: LinearSystem, x, u, w) -> np.ndarray:
@@ -377,9 +405,7 @@ def _realify_eigendecomposition(F: np.ndarray):
     return H, L
 
 
-def certify_strong_stability(sys: LinearSystem, K,
-                             cond_cap: float = 1e8,
-                             residual_tol: float = 1e-8) -> StabilityCertificate:
+def certify_strong_stability(sys: LinearSystem, K) -> StabilityCertificate:
     """Build a strong-stability certificate for K on sys, or raise.
 
     The witness is the realified eigendecomposition of A + BK: H holds
@@ -400,11 +426,11 @@ def certify_strong_stability(sys: LinearSystem, K,
     except np.linalg.LinAlgError:
         raise CertificateError("certificate not found: singular eigenvector matrix")
     cond = spectral_norm(H) * spectral_norm(Hinv)
-    if cond > cond_cap:
+    if cond > _CERT_COND_CAP:
         raise CertificateError(
             f"certificate not found: eigenvector condition {cond:.3g} above cap")
     resid = spectral_norm(F - H @ L @ Hinv)
-    if resid > residual_tol * max(1.0, spectral_norm(F)):
+    if resid > _CERT_RESIDUAL_TOL * max(1.0, spectral_norm(F)):
         raise CertificateError(
             f"certificate not found: reconstruction residual {resid:.3g}")
     norm_L = spectral_norm(L)

@@ -26,6 +26,9 @@ per trial. It is taken by `_spectral_norm` from the top eigenvalue of a Gram
 matrix, which at d_x = 800 costs ~75 ms against ~190 ms for the SVD of
 `lds.spectral_norm` (one BLAS thread); that SVD stays where the matrices are
 small (the phase-2 certificates) and a few ulp matter more than time.
+
+The growable row buffer `_Rows` behind these rows now lives in lds, next to
+the run log that shares it.
 """
 
 from __future__ import annotations
@@ -37,24 +40,20 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ConstructionDriftError, NonDeterministicControllerError
+from .lds import _NORM_SAFE_RANGE, _Rows
 
 ControllerFn = Callable[[List[np.ndarray]], np.ndarray]
 ControllerFactory = Callable[[], ControllerFn]
 
 _ORTHO_TOL = 1e-10
 
-# The range of the largest |entry| in which the Gram matrix is safe to form:
-# its entries, sums of squares, neither overflow nor lose the top eigenvalue
-# to underflow
-_GRAM_RANGE = (2.0 ** -400, 2.0 ** 400)
-
 
 def _spectral_norm(m: np.ndarray) -> float:
     """||m||_2 as sqrt(lambda_max) of the smaller Gram matrix of m: one
     SYRK-shaped product and one symmetric eigenvalue solve, about 2.5x
     cheaper than the SVD behind np.linalg.norm(m, 2) and within a few ulp of
-    it. A largest entry outside _GRAM_RANGE (or a non-finite one) falls back
-    to the SVD; an empty or zero matrix has norm 0."""
+    it. A largest entry outside lds._NORM_SAFE_RANGE (or a non-finite one)
+    falls back to the SVD; an empty or zero matrix has norm 0."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0.0
@@ -62,37 +61,10 @@ def _spectral_norm(m: np.ndarray) -> float:
     peak = max(float(m.max()), -float(m.min()))
     if peak == 0.0:
         return 0.0
-    if not _GRAM_RANGE[0] <= peak <= _GRAM_RANGE[1]:
+    if not _NORM_SAFE_RANGE[0] <= peak <= _NORM_SAFE_RANGE[1]:
         return float(np.linalg.norm(m, 2))
     gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-
-
-class _Rows:
-    """Rows appended one at a time to a buffer whose capacity doubles when it
-    fills (never past max_rows), so n appends copy O(n) rows in all instead
-    of O(n^2); `view` is the (n, width) block written so far."""
-
-    def __init__(self, width: int, max_rows: Optional[int] = None):
-        self.max_rows = max_rows
-        capacity = 8 if max_rows is None else min(8, max_rows)
-        self.data = np.zeros((capacity, width))
-        self.n = 0
-
-    @property
-    def view(self) -> np.ndarray:
-        return self.data[: self.n]
-
-    def append(self, row) -> None:
-        if self.n == len(self.data):
-            capacity = 2 * len(self.data)
-            if self.max_rows is not None:
-                capacity = min(capacity, self.max_rows)
-            grown = np.zeros((capacity, self.data.shape[1]))
-            grown[: self.n] = self.view
-            self.data = grown
-        self.data[self.n] = row
-        self.n += 1
 
 
 class SubspaceTracker:

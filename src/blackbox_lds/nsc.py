@@ -45,6 +45,9 @@ from .errors import DimensionMismatchError
 from .lds import CostFunction, CostSpec, LinearSystem, cost_at
 from .plant import BlackBoxPlant
 
+# best_dac_in_hindsight stops once the projected-gradient norm is this small
+_COMPARATOR_GRAD_TOL = 1e-8
+
 
 def _block_norms(M) -> np.ndarray:
     """Spectral norm of every block of an (H, d_u, d_x) stack: the Euclidean
@@ -442,7 +445,7 @@ class HindsightResult:
 
 def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
                           H: int, kappa: float, gamma: float, x1,
-                          iters: int = 200, grad_tol: float = 1e-8) -> HindsightResult:
+                          iters: int = 200) -> HindsightResult:
     """Minimize the true total cost over M in the constraint set by projected
     gradient descent with backtracking (the cost is convex in M since states
     are affine in M). Deterministic given its inputs; the returned grad_norm
@@ -476,7 +479,7 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
                 moved = True
                 break
             step *= 0.5
-        if not moved or pg_norm <= grad_tol:
+        if not moved or pg_norm <= _COMPARATOR_GRAD_TOL:
             converged = True
             break
         if improvement <= 1e-12 * max(abs(J), 1.0):

@@ -193,7 +193,6 @@ def regret(report: PipelineReport) -> float:
 
 
 def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
-                 constants: Optional[PhaseConstants] = None,
                  overrides: Optional[dict] = None,
                  use_certified_stability: bool = False,
                  reidentify: bool = False,
@@ -217,11 +216,8 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     (about 19600 on a scalar plant at T = 10000, 20840 at T = 40000).
     """
     G = plant.cost_scale
-    if constants is None:
-        constants = derive_constants(prior.k, prior.kappa, prior.beta,
-                                     plant.d_x, plant.d_u, T,
-                                     overrides=overrides, G=G)
-    cst = constants
+    cst = derive_constants(prior.k, prior.kappa, prior.beta, plant.d_x,
+                           plant.d_u, T, overrides=overrides, G=G)
     if T <= cst.T1:
         raise PhaseError("sysid", f"horizon T={T} must exceed T1={cst.T1}")
     x1 = plant.state

@@ -24,7 +24,6 @@ from .lds import (
     DisturbanceSource,
     LinearSystem,
     RunLog,
-    StepRecord,
     cost_at,
 )
 
@@ -57,7 +56,7 @@ class BlackBoxPlant:
             raise DimensionMismatchError("initial state", (sys.d_x,), x1.shape)
         self._x = x1.copy()
         self._t = 1
-        self._log = RunLog(seed=seed)
+        self._log = RunLog(sys.d_x, sys.d_u, seed=seed)
 
     @property
     def d_x(self) -> int:
@@ -94,8 +93,8 @@ class BlackBoxPlant:
 
         u and w_t are validated once, here, and the transition is lds.step's
         expression A x + B u + w written inline, so x_{t+1} is bitwise what
-        step returns. The log records x_t itself, not a copy: the plant only
-        rebinds its state to each new array and never writes into one.
+        step returns. The round goes straight into the log, whose row
+        buffers copy x_t, u_t and w_t, so nothing is copied here for it.
         """
         sys, x = self._sys, self._x
         u = np.asarray(u, dtype=float).reshape(-1)
@@ -111,8 +110,7 @@ class BlackBoxPlant:
         x_next = sys.A @ x + sys.B @ u + w
         if not np.isfinite(x_next).all():
             raise NonFiniteValueError("state", self._t + 1)
-        self._log.append(StepRecord(t=self._t, x=x, u=u.copy(), w=w.copy(),
-                                    cost=c, phase=phase))
+        self._log.append(x, u, w, c, phase)
         self._x = x_next
         self._t += 1
         return StepOutcome(x_next=x_next.copy(), cost=c, cost_fn=cost_fn)
@@ -148,7 +146,8 @@ class BlackBoxPlant:
 def simulate(sys: LinearSystem, controller, dist: DisturbanceSource,
              costs: CostSpec, T: int, x1, phase: str = "sim",
              seed: Optional[int] = None) -> RunLog:
-    """Roll the closed loop for T rounds from x1 on a BlackBoxPlant.
+    """Roll the closed loop for T rounds from x1 on a BlackBoxPlant; return
+    its RunLog, whose row t-1 is round t, every round tagged `phase`.
 
     The controller is a callback (t, x_t) -> u_t and never sees (A, B); it
     observes only the state trajectory, through a private copy. Disturbances

@@ -195,16 +195,15 @@ def project_affine(S, A_hat, B_hat) -> np.ndarray:
     return AffineProjector(A_hat, B_hat).project(S)
 
 
-def sdp_feasibility(A_hat, B_hat, nu: float, tol: float = DEFAULT_TOL,
-                    max_iters: int = DEFAULT_MAX_ITERS,
-                    on_iteration=None) -> SdpBlockMatrix:
+def sdp_feasibility(A_hat, B_hat, nu: float, on_iteration=None) -> SdpBlockMatrix:
     """Dykstra's alternating projections onto {PSD, Tr <= nu} and the affine
     steady-state constraint, from the centered initializer (nu/n) I.
 
     Returns the affine-feasible iterate once its PSD and trace violations are
-    within tol. Raises SdpInfeasibleError when max_iters is exhausted or the
-    violation plateaus well above tol (the scalar instance A_hat=2, B_hat=0
-    plateaus immediately: Sigma_xx = 4 Sigma_xx + 1 forces Sigma_xx < 0).
+    within DEFAULT_TOL. Raises SdpInfeasibleError when DEFAULT_MAX_ITERS
+    iterations are exhausted or the violation plateaus well above DEFAULT_TOL
+    (the scalar instance A_hat=2, B_hat=0 plateaus immediately:
+    Sigma_xx = 4 Sigma_xx + 1 forces Sigma_xx < 0).
     on_iteration(it, violation), when given, observes the per-iteration
     constraint violation of the affine-feasible iterate. An iteration costs
     O((d_x + d_u)^3 + d_x^4) flops, d_x^4 for the normal-equation matvec.
@@ -217,7 +216,7 @@ def sdp_feasibility(A_hat, B_hat, nu: float, tol: float = DEFAULT_TOL,
     p = np.zeros((n, n))
     best = math.inf
     last_check = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, DEFAULT_MAX_ITERS + 1):
         y = project_psd_trace(x + p, nu)
         p = x + p - y
         x = proj.project(y)
@@ -228,11 +227,11 @@ def sdp_feasibility(A_hat, B_hat, nu: float, tol: float = DEFAULT_TOL,
         best = min(best, viol)
         if on_iteration is not None:
             on_iteration(it, viol)
-        if viol <= tol:
+        if viol <= DEFAULT_TOL:
             return SdpBlockMatrix(sigma=x, d_x=proj.d_x, d_u=proj.d_u)
         if it % 1000 == 0:
             # plateau far from feasibility => the two sets do not intersect
-            if viol > math.sqrt(tol) and viol > 0.999 * last_check:
+            if viol > math.sqrt(DEFAULT_TOL) and viol > 0.999 * last_check:
                 raise SdpInfeasibleError(
                     f"SDP infeasible or ill-conditioned: violation {viol:.3g} "
                     f"plateaued after {it} iterations (eps too large or nu too small)",
@@ -240,8 +239,8 @@ def sdp_feasibility(A_hat, B_hat, nu: float, tol: float = DEFAULT_TOL,
             last_check = viol
     raise SdpInfeasibleError(
         f"SDP infeasible or ill-conditioned: violation {best:.3g} "
-        f"after {max_iters} iterations (eps too large or nu too small)",
-        residual=best, iterations=max_iters)
+        f"after {DEFAULT_MAX_ITERS} iterations (eps too large or nu too small)",
+        residual=best, iterations=DEFAULT_MAX_ITERS)
 
 
 def extract_controller(sigma: SdpBlockMatrix) -> np.ndarray:
@@ -283,8 +282,7 @@ class RecoveryResult:
 
 
 def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
-                        gamma_prime: float, tol: float = DEFAULT_TOL,
-                        max_iters: int = DEFAULT_MAX_ITERS,
+                        gamma_prime: float,
                         nu: Optional[float] = None) -> RecoveryResult:
     """Solve the feasibility SDP on (A_hat, B_hat) and extract K_hat.
 
@@ -303,7 +301,7 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
     if nu is not None:
         constants = replace(constants, nu=float(nu))
     last = {}
-    sigma = sdp_feasibility(A_hat, B_hat, constants.nu, tol=tol, max_iters=max_iters,
+    sigma = sdp_feasibility(A_hat, B_hat, constants.nu,
                             on_iteration=lambda it, viol: last.update(it=it, viol=viol))
     K = extract_controller(sigma)
     w, U = np.linalg.eigh(sigma.xx)
@@ -313,7 +311,7 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
     L = Hinv @ (A_hat + B_hat @ K) @ H
     norm_L = spectral_norm(L)
     bound = 1.0 - 1.0 / (2.0 * constants.nu)
-    if norm_L > bound + max(10.0 * tol, 1e-8):
+    if norm_L > bound + max(10.0 * DEFAULT_TOL, 1e-8):
         raise SdpInfeasibleError(
             f"recovered witness not contracting: ||L|| = {norm_L:.12g} "
             f"exceeds {bound:.12g}", residual=norm_L - bound)

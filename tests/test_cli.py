@@ -153,6 +153,16 @@ class TestSchemaValidation:
         ("disturbance.omega", [0.2]),
         ("disturbance.amplitude", True),
         ("disturbance.phases", ["0.1"]),
+        # shapes against the scalar plant, caught before any round is played
+        ("disturbance.phases", [0.1, 0.2, 0.3]),
+        ("plant.x1", [0.0, 1.0]),
+        ("plant.x1", 0.0),
+        ("plant.A", [[0.5, 0.1]]),
+        ("plant.A", [["a"]]),
+        ("plant.A", [[]]),
+        ("plant.B", [[1.0], [1.0]]),
+        ("plant.B", [1.0, 1.0]),
+        ("plant.B", [[True]]),
     ])
     def test_mistyped_value_exit_2(self, tmp_path, capsys, path, value):
         cfg = json.loads(json.dumps(PIPELINE_CFG))
@@ -181,6 +191,27 @@ class TestSchemaValidation:
         err = json.loads(capsys.readouterr().out)
         assert (err["error"]["kind"], err["error"]["path"]) == ("config", path)
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("A_hat", [[1.1, 0.2]]),
+        ("A_hat", [[1.1, "0.2"], [0.0, 0.9]]),
+        ("B_hat", [[1.0], [0.3], [0.0]]),
+        ("B_hat", [1.0]),
+        ("B_hat", [[1.0], [0.3, 0.1]]),
+    ])
+    def test_recover_shapes_exit_2(self, tmp_path, capsys, key, value):
+        cfg = {**CONFIGS["recover"], key: value}
+        out = tmp_path / "o"
+        assert main(["recover", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"]["kind"], err["error"]["path"]) == ("config", key)
+        assert not out.exists()
+
+    def test_flat_b_is_a_single_input(self, tmp_path):
+        cfg = {**CONFIGS["recover"], "B_hat": [1.0, 0.3]}
+        assert main(["recover", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_weighted_quadratic_cost_runs(self, tmp_path):
         cost = {"kind": "weighted_quadratic", "Q": [[2.0]], "R": [[0.5]]}

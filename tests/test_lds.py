@@ -66,7 +66,7 @@ class TestSimulate:
         sys = LinearSystem([[0.5]], [[0.0]])
         log = simulate(sys, lambda t, x: np.zeros(1), ZeroDisturbance(),
                        CostFunction.quadratic(), 3, [1.0])
-        assert [r.x[0] for r in log.records] == [1.0, 0.5, 0.25]
+        assert list(log.states()[:, 0]) == [1.0, 0.5, 0.25]
 
     def test_single_round(self):
         sys = LinearSystem([[0.5]], [[1.0]])
@@ -93,9 +93,10 @@ class TestSimulate:
         dist = ClippedGaussianDisturbance(3, seed=5)
         log = simulate(sys, lambda t, x: -0.1 * x[:2], dist,
                        CostFunction.quadratic(), 40, rng.normal(size=3))
-        for a, b in zip(log.records, log.records[1:]):
-            assert np.array_equal(step(sys, a.x, a.u, a.w), b.x)
-        assert log.cumulative_cost == pytest.approx(sum(r.cost for r in log.records))
+        X, U, W = log.states(), log.controls(), log.disturbances()
+        for t in range(len(log) - 1):
+            assert np.array_equal(step(sys, X[t], U[t], W[t]), X[t + 1])
+        assert log.cumulative_cost == pytest.approx(sum(log.costs()))
 
 
 class TestControllability:

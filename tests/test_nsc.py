@@ -314,9 +314,9 @@ class TestGpcRun:
         gpc_run(plant, [[-0.5]], 4.0, 0.5, 3, 0.0, 50, sys.A, sys.B)
         log = plant.log
         states = list(log.states()) + [plant.state]
-        for i, r in enumerate(log.records):
-            w_hat = estimate_disturbance(sys.A, sys.B, r.x, r.u, states[i + 1])
-            assert np.array_equal(w_hat, r.w)
+        for i, (u, w) in enumerate(zip(log.controls(), log.disturbances())):
+            w_hat = estimate_disturbance(sys.A, sys.B, states[i], u, states[i + 1])
+            assert np.array_equal(w_hat, w)
 
     def test_exact_model_disturbance_within_rounding(self):
         # generic instance: with exact estimates the deviation is at most the
@@ -327,10 +327,10 @@ class TestGpcRun:
         gpc_run(plant, [[-0.2]], 4.0, 0.5, 3, 0.02, 50, sys.A, sys.B)
         log = plant.log
         states = list(log.states()) + [plant.state]
-        for i, r in enumerate(log.records):
-            w_hat = estimate_disturbance(sys.A, sys.B, r.x, r.u, states[i + 1])
+        for i, (u, w) in enumerate(zip(log.controls(), log.disturbances())):
+            w_hat = estimate_disturbance(sys.A, sys.B, states[i], u, states[i + 1])
             scale = max(np.abs(states[i + 1]).max(), 1.0)
-            assert np.abs(w_hat - r.w).max() <= 4 * np.finfo(float).eps * scale
+            assert np.abs(w_hat - w).max() <= 4 * np.finfo(float).eps * scale
 
 
     @pytest.mark.parametrize("H", [1, 2, 7])

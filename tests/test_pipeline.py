@@ -119,7 +119,8 @@ class TestRunPipeline:
         rho = abs(sys.A[0, 0] + sys.B[0, 0] * report.recovery.K[0, 0])
         assert rho < 1.0
         # Phase-3 states bounded, regret not meaningfully negative
-        gpc_states = [r.x for r in report.log.records if r.phase == "gpc"]
+        gpc_states = [x for x, phase in zip(report.log.states(), report.log.phases)
+                      if phase == "gpc"]
         assert max(np.linalg.norm(x) for x in gpc_states) < 50.0
         assert report.regret_value >= -1e-6
 
@@ -147,7 +148,7 @@ class TestRunPipeline:
         finally:
             tracemalloc.stop()
         assert info.value.phase == "gpc"
-        assert not any(r.phase == "gpc" for r in plant.log.records)
+        assert "gpc" not in plant.log.phases
         return info.value, peak, plant
 
     @pytest.mark.parametrize("T,overrides,certified", [
@@ -195,15 +196,16 @@ class TestRunPipeline:
     def test_report_integrity_replay(self):
         # replaying logged controls through the core reproduces logged states
         sys, plant, report = self._benchmark(400)
-        records = report.log.records
-        for a, b in zip(records, records[1:]):
-            assert np.array_equal(step(sys, a.x, a.u, a.w), b.x)
+        log = report.log
+        X, U, W = log.states(), log.controls(), log.disturbances()
+        for t in range(len(log) - 1):
+            assert np.array_equal(step(sys, X[t], U[t], W[t]), X[t + 1])
         assert report.total_cost == pytest.approx(
             sum(report.phase_costs.values()))
 
     def test_phase_structure(self):
         _, _, report = self._benchmark(400)
-        phases = [r.phase for r in report.log.records]
+        phases = report.log.phases
         T1 = report.constants.T1
         assert phases[: T1 - 1] == ["sysid"] * (T1 - 1)
         assert set(phases[T1 - 1: T1 - 1 + report.decay_steps]) <= {"decay"}
@@ -259,7 +261,7 @@ class TestRunPipeline:
                               comparator_iters=40, seed=3)
         bound = 2 * report.stability_used["kappa"] / report.stability_used["gamma"]
         assert report.x_after_decay_norm <= bound
-        assert {r.phase for r in report.log.records} == {"sysid", "decay", "gpc"}
+        assert set(report.log.phases) == {"sysid", "decay", "gpc"}
 
     def test_broken_noise_assumption_surfaces_decay_diagnostic(self):
         # disturbances exceeding the unit-ball assumption wreck the estimates,
@@ -288,12 +290,12 @@ class TestRunPipeline:
                               use_certified_stability=True, reidentify=True,
                               comparator_iters=40, seed=5)
         assert report.regret_value is not None
-        assert len(report.log.records) == 400
+        assert len(report.log.phases) == 400
         # the probing rounds are their own phase, between decay and gpc
         sysid = report.constants.T1 - 1
         T3 = 400 - sysid - report.decay_steps
         spent = min(report.constants.T0, max(T3 // 2, 1))
-        phases = [r.phase for r in report.log.records]
+        phases = report.log.phases
         assert phases == (["sysid"] * sysid + ["decay"] * report.decay_steps
                           + ["reidentify"] * spent + ["gpc"] * report.gpc_steps)
         assert phases.count("gpc") == report.gpc_steps == T3 - spent
@@ -305,11 +307,11 @@ class TestRunPipeline:
         # state through the step-by-step reference loop with the report's
         # constants: it must reproduce the GPC-phase cost
         sys, plant, report = self._benchmark(400)
-        gpc = [r for r in report.log.records if r.phase == "gpc"]
-        assert len(gpc) == report.gpc_steps
+        gpc = np.array(report.log.phases) == "gpc"
+        assert gpc.sum() == report.gpc_steps
         used = report.stability_used
-        replay = BlackBoxPlant(sys, ReplayDisturbance([r.w for r in gpc]), QUAD,
-                               gpc[0].x)
+        replay = BlackBoxPlant(sys, ReplayDisturbance(report.log.disturbances()[gpc]),
+                               QUAD, report.log.states()[gpc][0])
         total, _, active = ref_gpc_run(
             replay, report.recovery.K, used["kappa_star"], used["gamma"],
             used["H"], used["eta"], report.gpc_steps, report.estimates.A_hat,

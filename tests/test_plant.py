@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestSimulateContract:
             return np.zeros(1)
 
         log = simulate(sys, controller, ZeroDisturbance(), QUAD, 3, [1.0])
-        assert [r.x[0] for r in log.records] == [1.0, 1.0, 1.0]
+        assert list(log.states()[:, 0]) == [1.0, 1.0, 1.0]
         assert [s[0] for s in seen] == [1.0, 1.0, 1.0]
 
     def test_matches_a_hand_driven_plant(self, rng):
@@ -129,10 +130,11 @@ class TestSimulateContract:
             plant.apply(controller(t, plant.state), phase="probe")
         assert len(log) == len(plant.log) == 20
         assert log.seed == plant.log.seed == 9
-        for a, b in zip(log.records, plant.log.records):
-            assert a.t == b.t and a.phase == b.phase and a.cost == b.cost
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
-            assert np.array_equal(a.w, b.w)
+        assert log.phases == plant.log.phases
+        assert np.array_equal(log.costs(), plant.log.costs())
+        assert np.array_equal(log.states(), plant.log.states())
+        assert np.array_equal(log.controls(), plant.log.controls())
+        assert np.array_equal(log.disturbances(), plant.log.disturbances())
         assert log.cumulative_cost == plant.total_cost
         assert log.phase_costs == plant.log.phase_costs == {"probe": plant.total_cost}
 
@@ -152,7 +154,43 @@ class TestRunLog:
         for phase in phases:  # costs over six decades, so order shows
             plant.apply(rng.normal(size=1) * 10.0 ** rng.uniform(-3, 3), phase=phase)
         expected = {}
-        for r in plant.log.records:
-            expected[r.phase] = expected.get(r.phase, 0.0) + r.cost
+        for phase, cost in zip(plant.log.phases, plant.log.costs().tolist()):
+            expected[phase] = expected.get(phase, 0.0) + cost
         assert plant.log.phase_costs == expected
         assert list(plant.log.phase_costs) == ["sysid", "decay", "gpc"]
+
+    def test_columns_are_copies_of_the_rounds(self):
+        sys = LinearSystem([[0.5, 0.0], [0.0, 0.5]], [[1.0], [0.0]])
+        plant = BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [1.0, 2.0])
+        u = np.array([0.5])
+        plant.apply(u, phase="a")
+        u[0] = 99.0  # the caller's array is not the logged one
+        plant.apply(u, phase="b")
+        log = plant.log
+        assert log.states().tolist() == [[1.0, 2.0], [1.0, 1.0]]
+        assert log.controls().tolist() == [[0.5], [99.0]]
+        assert log.disturbances().tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert log.costs().tolist() == [5.25, 2.0 + 99.0**2]
+        assert log.phases == ["a", "b"]
+        for column in (log.states, log.controls, log.disturbances, log.costs):
+            column()[0] = -1.0
+        assert log.states()[0].tolist() == [1.0, 2.0]
+        assert log.costs()[0] == 5.25
+
+    def test_a_round_keeps_at_most_64_bytes(self):
+        # one uninterrupted scalar trajectory: x, u, w and c take 32 B of
+        # float64 rows and the phase an 8 B list slot, plus doubling slack
+        T = 200_000
+        plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
+                              SinusoidalDisturbance(1, omega=0.2), QUAD, [0.0])
+        u = np.zeros(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in range(T):
+                plant.apply(u, phase="gpc" if t % 2 else "decay")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(plant.log) == T
+        assert kept / T <= 64
