@@ -14,12 +14,15 @@ instance writes into its list is seen by nobody else.
 Cost per round t, besides the attacked controller: the randomized trial
 steps a dense system (O(d_x^2)) and keeps its subspace tracker in
 O(d_x t); the deterministic adversary's bookkeeping is O(d_x t), including
-an escape direction when the control adds nothing new, with its Q and V rows
-kept in growable buffers. The Python work of a round (history appends,
-transcript records) is a constant number of numpy calls in both harnesses;
-it does not grow with t. The built-in certainty-equivalent controller costs
-O(d_x t^2) (an SVD of the d_x-by-t state matrix); the other built-ins cost
-at most one d_x-by-d_x product.
+an escape direction when the control adds nothing new (from running column
+norms of V, with no t-by-d_x temporary), with its Q and V rows kept in
+growable buffers. The Python work of a round (history appends, transcript
+records) is a constant number of numpy calls in both harnesses; it does not
+grow with t. The built-in certainty-equivalent controller costs O(d_x t)
+when the new state is orthogonal to every observed one, as on every round
+after the first of the deterministic adversary, and O(d_x t^2) otherwise (an
+SVD of the d_x-by-t state matrix, as in the randomized trial); the other
+built-ins cost at most one d_x-by-d_x product.
 
 Each harness reports one d_x-by-d_x spectral norm (||A|| or ||Q'V||), once
 per trial. It is taken by `_spectral_norm` from the top eigenvalue of a Gram
@@ -201,12 +204,14 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
         system_norm=system_norm, A=A)
 
 
-def _unit_outside_span(rows: np.ndarray, dim: int) -> np.ndarray:
+def _unit_outside_span(rows: np.ndarray, col_sq: np.ndarray) -> np.ndarray:
     """Deterministic unit vector orthogonal to the given orthonormal rows:
     the standard basis vector with the largest residual, projected and
-    normalized. The residual of e_j has squared norm 1 - ||rows[:, j]||^2,
-    so only the chosen residual is built: O(dim * len(rows))."""
-    j = int(np.argmax(1.0 - np.sum(rows * rows, axis=0)))
+    normalized. The residual of e_j has squared norm 1 - col_sq[j], where
+    col_sq[j] = ||rows[:, j]||^2 is kept by the caller as rows are added, so
+    only the chosen residual is built: O(dim * len(rows)), with no
+    len(rows)-by-dim temporary."""
+    j = int(np.argmax(1.0 - col_sq))
     r = -(rows.T @ rows[:, j])
     r[j] += 1.0
     norm = np.linalg.norm(r)
@@ -241,8 +246,9 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     each list, so neither instance sees the other's writes and the harness's
     per-round work does not grow with t. Round t costs O(d_x t) besides the
     two controller calls: the Q and V rows are appended to growable buffers,
-    never restacked. ||Q'V|| is taken once, after the last round, by
-    `_spectral_norm`.
+    never restacked, and the escape direction reads running column sums of
+    squares of V instead of summing V * V again. ||Q'V|| is taken once, after
+    the last round, by `_spectral_norm`.
     """
     if d_x < 2:
         raise ValueError("d_x must be >= 2")
@@ -250,6 +256,9 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     witness = controller_factory()
     V_rows = _Rows(d_x, max_rows=d_x)
     V_rows.append(np.eye(1, d_x)[0])  # V_1 = e_1'
+    # ||V[:, j]||^2 for the escape direction, summed in row order as
+    # np.sum(V * V, axis=0) sums them; e_1 * e_1 = e_1 so far
+    V_col_sq = np.eye(1, d_x)[0]
     Q_rows = _Rows(d_x, max_rows=d_x)
     d_signs = []
     c_diag = [1.0]  # c_1^1: x_1 = e_1 = V_1'
@@ -276,7 +285,7 @@ def deterministic_adversary(controller_factory: ControllerFactory,
             y = y - V.T @ (V @ y)
             y = y / np.linalg.norm(y)
         else:
-            y = _unit_outside_span(V, d_x)
+            y = _unit_outside_span(V, V_col_sq)
         a_t = float(y @ u)
         c_t = c_diag[-1]
         d_t = _sign(c_t) * _sign(a_t) * 2.0
@@ -290,6 +299,7 @@ def deterministic_adversary(controller_factory: ControllerFactory,
         # rows fixed so far contribute
         x = Q_rows.view.T @ (V @ x) + u
         V_rows.append(y)
+        V_col_sq += y * y
         history.append(x.copy())
         witness_history.append(x.copy())
         # the diagonal coefficient obeys c_{t+1} = c_t d_t + a_t; the signs
@@ -337,7 +347,10 @@ def certainty_equivalent_controller() -> ControllerFn:
 
     The product is evaluated as -(Y (pinv(X) x)), so the d_x-by-d_x A_hat is
     never formed, and each call appends its one new transition to growable
-    buffers instead of rebuilding X and Y from the history. A call after t
+    buffers instead of rebuilding X and Y from the history. Since
+    pinv(X) x = (X'X)^+ (X'x), a state orthogonal to every observed state
+    (X'x exactly 0) gets u = 0 after one O(d_x t) product; this is every call
+    after the first in the deterministic adversary. Any other call after t
     observed states costs O(d_x t^2), the SVD inside pinv. The controller
     expects the history to grow by one state per call, as both harnesses do.
     """
@@ -358,7 +371,12 @@ def certainty_equivalent_controller() -> ControllerFn:
         else:
             X.append(history[-2])
             Y.append(x - last_u)
-            u = -(Y.view.T @ (np.linalg.pinv(X.view.T) @ x))
+            # pinv(X') x = (X X')^+ (X x): a state orthogonal to every
+            # observed one is fitted by exactly 0, with no SVD
+            if (X.view @ x).any():
+                u = -(Y.view.T @ (np.linalg.pinv(X.view.T) @ x))
+            else:
+                u = -np.zeros_like(x)  # -0.0 entries, as -(Y' 0) gives
         last_u = u
         return u
 

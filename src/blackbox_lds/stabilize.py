@@ -75,6 +75,9 @@ class RecoveryConstants:
     @staticmethod
     def from_existence(kappa_prime: float, gamma_prime: float, eps: float,
                        d_x: int) -> "RecoveryConstants":
+        if not (math.isfinite(eps) and eps >= 0.0):
+            # a negative eps would shrink nu below its eps = 0 value
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
         margin = gamma_prime - 2.0 * eps * kappa_prime**2
         if margin <= 0.0:
             raise ValueError("gamma' must exceed 2 eps kappa'^2 (nu denominator "

@@ -244,6 +244,16 @@ class TestSchemaValidation:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["path"] == "seed"
 
+    def test_negative_eps_is_refused(self, tmp_path, capsys):
+        # it used to exit 0 with nu = 17.95 (eps = 0 gives 6480)
+        cfg = _write_config(tmp_path, "cfg.json",
+                            {**CONFIGS["recover"], "eps": -1})
+        out = tmp_path / "o"
+        assert main(["recover", "--config", cfg, "--out", str(out)]) != 0
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert "eps must be finite and >= 0" in err["message"]
+        assert not (out / "summary.json").exists()
+
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         bad = {**PIPELINE_CFG, "horizon": 2}
         cfg = _write_config(tmp_path, "cfg.json", bad)

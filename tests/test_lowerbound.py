@@ -346,6 +346,15 @@ class TestDeterministicAdversary:
             t = deterministic_adversary(BUILTIN_CONTROLLERS[name], 400)
         assert t.system_norm <= 2.0 + 1e-12
 
+    @pytest.mark.parametrize("name", ["zero", "certainty_equivalent"])
+    def test_growth_at_400(self, name):
+        # no warning is suppressed: with these controllers neither ||x|| nor
+        # x.x overflows at d_x = 400 (negative_identity's x.x does)
+        t = deterministic_adversary(BUILTIN_CONTROLLERS[name], 400)
+        assert t.final_state_norm >= 2.0 ** 399
+        assert abs(t.c_diag[-1]) >= 2.0 ** 399
+        assert t.system_norm <= 2.0 + 1e-12
+
     def test_frozen_random_is_deterministic(self):
         a = deterministic_adversary(frozen_random_controller, 8)
         b = deterministic_adversary(frozen_random_controller, 8)
@@ -369,6 +378,11 @@ def _recorded_ce_history(d_x, seed):
     return [s.x for s in t.steps]
 
 
+def _deterministic_ce_history(d_x):
+    t = deterministic_adversary(certainty_equivalent_controller, d_x)
+    return [s.x for s in t.steps]
+
+
 class TestAgainstReference:
     """The growable-buffer paths against the implementations they replaced
     (tests/lowerbound_reference.py)."""
@@ -380,6 +394,10 @@ class TestAgainstReference:
         pytest.param(lambda: (lambda h: h[:6] + [h[5]] + h[6:])(
             _recorded_ce_history(200, 46)), id="repeated-state"),
         pytest.param(lambda: [np.eye(50)[0]] * 8, id="constant-state"),
+        # axis-aligned, mutually orthogonal states: every call after the
+        # first skips pinv; the reference plays exactly 0 there, so the
+        # relative bound below demands exact equality
+        pytest.param(lambda: _deterministic_ce_history(40), id="deterministic"),
     ])
     def test_certainty_equivalent_controls(self, history):
         history = history()
@@ -389,6 +407,36 @@ class TestAgainstReference:
             u_ref, u_new = ref(history[:t]), new(history[:t])
             assert np.linalg.norm(u_new - u_ref) \
                 <= 1e-13 * np.linalg.norm(u_ref)
+
+    def test_certainty_equivalent_orthogonal_state_is_exactly_zero(self):
+        # orthogonal but not axis-aligned: pinv leaves rounding noise of
+        # order 1e-16 ||x|| where the least-squares answer is exactly 0
+        history = [np.array(v, dtype=float) for v in
+                   ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 5))]
+        ref, new = ref_certainty_equivalent_controller(), \
+            certainty_equivalent_controller()
+        for t in range(1, len(history) + 1):
+            x = history[t - 1]
+            u_ref, u_new = ref(history[:t]), new(history[:t])
+            assert np.all(u_new == 0.0)
+            assert np.linalg.norm(u_ref) <= 1e-15 * np.linalg.norm(x)
+
+    def test_certainty_equivalent_skips_pinv_only_on_orthogonal_states(
+            self, monkeypatch):
+        calls = []
+        original = np.linalg.pinv
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        deterministic_adversary(certainty_equivalent_controller, 200)
+        assert calls == []  # 396 before the skip
+        t = randomized_lb_trial(certainty_equivalent_controller, 200, 40.0,
+                                seed=45)
+        # one call per controller call after the first, whose fit is empty
+        assert len(calls) == len(t.steps) - 1 == 24
 
     def test_certainty_equivalent_rejects_a_skipped_state(self):
         act = certainty_equivalent_controller()
@@ -401,9 +449,11 @@ class TestAgainstReference:
         calls = []
         original = lb._unit_outside_span
 
-        def spy(rows, dim):
-            calls.append((rows.copy(), dim))
-            return original(rows, dim)
+        def spy(rows, col_sq):
+            # the running column sums are bitwise those of a fresh sum
+            assert col_sq.tobytes() == np.sum(rows * rows, axis=0).tobytes()
+            calls.append((rows.copy(), col_sq.copy()))
+            return original(rows, col_sq)
 
         monkeypatch.setattr(lb, "_unit_outside_span", spy)
         for name in sorted(BUILTIN_CONTROLLERS):
@@ -413,16 +463,18 @@ class TestAgainstReference:
                 except ConstructionDriftError:
                     pass
         # random orthonormal rows, and rows with exact ties
-        for t, dim in ((1, 2), (5, 9), (30, 40), (39, 40)):
-            calls.append((np.linalg.qr(rng.normal(size=(dim, t)))[0].T, dim))
-        calls.append((np.eye(7)[[0, 3]], 7))
+        extra = [np.linalg.qr(rng.normal(size=(dim, t)))[0].T
+                 for t, dim in ((1, 2), (5, 9), (30, 40), (39, 40))]
+        extra.append(np.eye(7)[[0, 3]])
+        calls += [(rows, np.sum(rows * rows, axis=0)) for rows in extra]
         assert len(calls) > 1000
-        for rows, dim in calls:
+        for rows, col_sq in calls:
+            dim = rows.shape[1]
             ref = ref_unit_outside_span(rows, dim)
             j_ref = int(np.argmax(np.linalg.norm(np.eye(dim) - rows.T @ rows,
                                                  axis=0)))
             assert int(np.argmax(1.0 - np.sum(rows * rows, axis=0))) == j_ref
-            assert np.abs(original(rows, dim) - ref).max() <= 1e-14
+            assert np.abs(original(rows, col_sq) - ref).max() <= 1e-14
 
     @pytest.mark.parametrize("name", ["zero", "negative_identity",
                                       "frozen_random"])

@@ -302,6 +302,17 @@ class TestControllerRecovery:
         with pytest.raises(ValueError):
             controller_recovery([[0.5]], [[1.0]], 0.3, 1.0, 0.01)
 
+    @pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_nonnegative(self, eps):
+        # eps = -1 used to give nu = 17.95 against 6480 at eps = 0
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            RecoveryConstants.from_existence(3.0, 0.05, eps, 2)
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            controller_recovery([[1.1, 0.2], [0.0, 0.9]], [[1.0], [0.3]], eps,
+                                3.0, 0.05)
+        assert RecoveryConstants.from_existence(3.0, 0.05, 0.0, 2).nu \
+            == pytest.approx(6480.0)
+
     def test_sdp_soundness_random(self, rng):
         # recovered spectral radius obeys the feasibility-implied contraction
         for _ in range(10):
