@@ -10,6 +10,12 @@ Every run writes a step-level CSV (t, phase, state_norm, control_norm, cost,
 cumulative_cost) and a JSON summary with the constants used (override
 provenance included), phase costs, regret in simulation mode, certificates,
 and the seed. Identical config + seed produces byte-identical outputs.
+
+exit codes:
+  0  success
+  2  config error (a wrong key, type, shape or range): prints
+     {"error": {"kind": "config", "path": ...}} and writes nothing
+  1  runtime or phase error, such as horizon <= T1 or a non-finite output
 """
 
 from __future__ import annotations
@@ -21,11 +27,17 @@ import logging
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import lowerbound as lb
-from .errors import BlackBoxControlError, ConfigError, NonFiniteValueError
+from .errors import (
+    BlackBoxControlError,
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteValueError,
+)
 from .lds import (
     ClippedGaussianDisturbance,
     CostFunction,
@@ -37,14 +49,13 @@ from .lds import (
 )
 from .pipeline import derive_constants, run_pipeline
 from .plant import BlackBoxPlant
-from .stabilize import controller_recovery
+from .stabilize import RecoveryConstants, controller_recovery
 from .sysid import adv_sys_id, probe_horizon
 
 log = logging.getLogger("blackbox_lds")
 
-
-def _say(msg):
-    log.info(msg)
+# the --help epilog: the docstring's last paragraph
+_EXIT_CODES = "exit codes:" + (__doc__ or "").partition("exit codes:")[2]
 
 
 @contextlib.contextmanager
@@ -65,8 +76,7 @@ def _verbose_to_stderr():
         log.setLevel(level)
 
 
-# -- config schema ------------------------------------------------------------
-
+# -- config pass --------------------------------------------------------------
 # the keys an object may hold, by its "kind"
 _PLANT_KEYS = {"explicit": {"kind", "A", "B", "x1"},
                "random": {"kind", "d_x", "d_u", "spectral_radius", "seed"}}
@@ -75,35 +85,23 @@ _DIST_KEYS = dict.fromkeys(("zero", "clipped_gaussian", "sinusoidal",
                            {"kind", "scale", "omega", "amplitude", "phases"})
 _COST_KEYS = dict.fromkeys(("quadratic", "weighted_quadratic"), {"kind", "Q", "R"})
 
-_SCHEMAS = {
-    "pipeline": {
-        "required": {"plant", "prior", "horizon"},
-        "optional": {"experiment", "seed", "disturbance", "cost", "overrides",
-                     "options"},
-    },
-    "sysid": {
-        "required": {"plant", "prior"},
-        "optional": {"experiment", "seed", "disturbance", "cost", "eps",
-                     "overrides"},
-    },
-    "recover": {
-        "required": {"A_hat", "B_hat", "eps", "kappa_prime", "gamma_prime"},
-        "optional": {"experiment", "seed"},
-    },
-    "lowerbound-rand": {
-        "required": {"d_x"},
-        "optional": {"experiment", "seed", "gamma", "controller"},
-    },
-    "lowerbound-det": {
-        "required": {"d_x"},
-        "optional": {"experiment", "seed", "controller"},
-    },
-}
-
 
 def _require(cond, path, msg):
     if not cond:
         raise ConfigError(path, msg)
+
+
+@contextlib.contextmanager
+def _under(path):
+    """Re-raise a constructor's ConfigError or DimensionMismatchError as a
+    ConfigError at path.format(the field it names). Check the constructor's
+    arguments before the block: their own errors would be prefixed twice."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(path.format(exc.path), exc.message) from exc
+    except DimensionMismatchError as exc:
+        raise ConfigError(path.format(exc.operand), str(exc)) from exc
 
 
 def _require_object(obj, path, keys):
@@ -112,7 +110,8 @@ def _require_object(obj, path, keys):
     if isinstance(keys, dict):
         _require(isinstance(obj, dict) and "kind" in obj, path,
                  "must be an object with a 'kind'")
-        _require(obj["kind"] in keys, f"{path}.kind", f"must be one of {sorted(keys)}")
+        _require(isinstance(obj["kind"], str) and obj["kind"] in keys,
+                 f"{path}.kind", f"must be one of {sorted(keys)}")
         keys = keys[obj["kind"]]
     else:
         _require(isinstance(obj, dict), path, "must be an object")
@@ -124,146 +123,58 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int(value, least) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def validate_config(subcommand: str, cfg: dict) -> dict:
-    _require(subcommand in _SCHEMAS, "experiment", f"unknown subcommand {subcommand}")
-    schema = _SCHEMAS[subcommand]
-    _require(isinstance(cfg, dict), "$", "config must be a JSON object")
-    if "experiment" in cfg:
-        _require(cfg["experiment"] == subcommand, "experiment",
-                 f"config says {cfg['experiment']!r} but subcommand is {subcommand!r}")
-    allowed = schema["required"] | schema["optional"]
-    for key in cfg:
-        _require(key in allowed, key, "unknown key")
-    for key in schema["required"]:
-        _require(key in cfg, key, "missing required key")
-    if "plant" in cfg:  # every schema with a disturbance or a cost has one
-        d_x, d_u = _validate_plant(cfg["plant"])
-    if "prior" in cfg:
-        p = cfg["prior"]
-        _require_object(p, "prior", {"k", "kappa", "beta"})
-        for key in ("k", "kappa", "beta"):
-            _require(key in p, f"prior.{key}", "missing required key")
-        _require(_is_count(p["k"]), "prior.k", "must be a positive integer")
-        for key in ("kappa", "beta"):
-            _require(_is_number(p[key]), f"prior.{key}", "must be a number")
-    if "horizon" in cfg:
-        _require(_is_count(cfg["horizon"]), "horizon", "must be a positive integer")
-    if "disturbance" in cfg:
-        d = cfg["disturbance"]
-        _require_object(d, "disturbance", _DIST_KEYS)
-        for key in ("scale", "omega", "amplitude"):
-            _require(_is_number(d.get(key, 0.0)), f"disturbance.{key}",
-                     "must be a number")
-        _require(_is_number(d.get("phases", 0.0))
-                 or _is_vector(d["phases"], d_x), "disturbance.phases",
-                 f"must be a number or a list of {d_x} numbers")
-    if "cost" in cfg:
-        _validate_cost(cfg["cost"], d_x, d_u)
-    if "overrides" in cfg:
-        _require(isinstance(cfg["overrides"], dict), "overrides",
-                 "must be an object")
-        from .pipeline import _DERIVABLE
-        for key, value in cfg["overrides"].items():
-            _require(key in _DERIVABLE, f"overrides.{key}",
-                     f"unknown constant (expected one of {sorted(_DERIVABLE)})")
-            _require(_is_number(value), f"overrides.{key}", "must be a number")
-    if "options" in cfg:
-        o = cfg["options"]  # run_pipeline's keyword arguments
-        _require_object(o, "options", {"use_certified_stability", "reidentify",
-                                       "comparator_iters"})
-        for key in ("use_certified_stability", "reidentify"):
-            _require(isinstance(o.get(key, False), bool), f"options.{key}",
-                     "must be true or false")
-        _require(_is_count(o.get("comparator_iters", 1)), "options.comparator_iters",
-                 "must be a positive integer")
-    if subcommand == "recover":
-        _system_shape(cfg["A_hat"], cfg["B_hat"], "A_hat", "B_hat")
-    for key in ("eps", "kappa_prime", "gamma_prime", "gamma"):
-        if key in cfg:
-            _require(_is_number(cfg[key]), key, "must be a number")
-    if "controller" in cfg:
-        _require(cfg["controller"] in lb.BUILTIN_CONTROLLERS, "controller",
-                 f"must be one of {sorted(lb.BUILTIN_CONTROLLERS)}")
-    if "d_x" in cfg:
-        _require(_is_count(cfg["d_x"]), "d_x", "must be a positive integer")
-    if subcommand in {"pipeline", "sysid", "lowerbound-rand"}:
-        _require("seed" in cfg and isinstance(cfg["seed"], int), "seed",
-                 "a seed is mandatory for randomized experiments")
-    return cfg
+# the value at path's last key of obj, or default if obj has no such key
+def _number(obj, path, default=None):
+    value = obj.get(path.rpartition(".")[2], default)
+    _require(_is_number(value), path, "must be a number")
+    return value
 
 
-def _validate_plant(p) -> tuple:
-    """(d_x, d_u) of a valid plant object."""
+def _count(obj, path, default=None) -> int:
+    value = obj.get(path.rpartition(".")[2], default)
+    _require(_is_int(value, 1), path, "must be a positive integer")
+    return value
+
+
+def _seed(value, path="seed") -> int:
+    _require(_is_int(value, 0), path, "must be a non-negative integer")
+    return value
+
+
+def _array(value, path, ndim=None) -> np.ndarray:
+    """value as a float array: a JSON list of numbers (ndim 1) or a list of
+    equal-length such lists (ndim 2; None takes either, for a B whose flat
+    form is one input). Its shape is the constructors' to check."""
+    if ndim is None:
+        ndim = 2 if isinstance(value, list) and value and isinstance(value[0], list) else 1
+    rows = value if ndim == 2 else [value]
+    _require(isinstance(value, list)
+             and all(isinstance(row, list) and all(map(_is_number, row))
+                     for row in rows)
+             and len({len(row) for row in rows}) <= 1, path,
+             "must be a list of numbers" if ndim == 1 else
+             "must be a matrix as nested lists of numbers")
+    return np.array(value, dtype=float)
+
+
+def _system(p, seed) -> tuple:
+    """(LinearSystem, x1) of a plant object."""
     _require_object(p, "plant", _PLANT_KEYS)
-    if p["kind"] == "random":
-        for key in ("d_x", "d_u"):
-            _require(_is_count(p.get(key)), f"plant.{key}",
-                     "must be a positive integer")
-        return p["d_x"], p["d_u"]
-    d_x, d_u = _system_shape(p.get("A"), p.get("B"), "plant.A", "plant.B")
-    _require("x1" not in p or _is_vector(p["x1"], d_x), "plant.x1",
-             f"must be a list of {d_x} numbers")
-    return d_x, d_u
-
-
-def _matrix_shape(value):
-    """(rows, cols) of a non-empty matrix given as nested lists of numbers,
-    else None."""
-    if not (isinstance(value, list) and value
-            and all(isinstance(row, list) and row for row in value)):
-        return None
-    cols = len(value[0])
-    if not all(len(row) == cols and all(_is_number(v) for v in row)
-               for row in value):
-        return None
-    return len(value), cols
-
-
-def _is_vector(value, dim) -> bool:
-    return (isinstance(value, list) and len(value) == dim
-            and all(_is_number(v) for v in value))
-
-
-def _system_shape(A, B, path_A, path_B) -> tuple:
-    """(d_x, d_u) of an explicit pair: A is a d_x-by-d_x matrix of numbers,
-    B a d_x-by-d_u one or, for a single input, a flat list of d_x numbers."""
-    shape = _matrix_shape(A)
-    _require(shape is not None and shape[0] == shape[1], path_A,
-             "must be a square matrix as nested lists of numbers")
-    d_x = shape[0]
-    if _is_vector(B, d_x):
-        return d_x, 1
-    shape = _matrix_shape(B)
-    _require(shape is not None and shape[0] == d_x, path_B,
-             f"must be a matrix of {d_x} rows as nested lists of numbers, "
-             f"or a list of {d_x} numbers")
-    return shape
-
-
-def _validate_cost(c, d_x, d_u):
-    _require_object(c, "cost", _COST_KEYS)
-    if c["kind"] != "weighted_quadratic":
-        return
-    for key, dim in (("Q", d_x), ("R", d_u)):
-        _require(key in c, f"cost.{key}", "missing required key")
-        _require(_matrix_shape(c[key]) == (dim, dim), f"cost.{key}",
-                 f"must be a {dim}x{dim} matrix as nested lists of numbers")
-
-
-# -- builders -----------------------------------------------------------------
-
-def _build_system(p, seed):
     if p["kind"] == "explicit":
-        return LinearSystem(np.array(p["A"], dtype=float),
-                            np.array(p["B"], dtype=float)), \
-            np.array(p.get("x1", np.zeros(len(p["A"]))), dtype=float)
-    rng = np.random.default_rng(p.get("seed", seed))
-    d_x, d_u = p["d_x"], p["d_u"]
-    radius = float(p.get("spectral_radius", 0.9))
+        A, B = _array(p.get("A"), "plant.A", 2), _array(p.get("B"), "plant.B")
+        with _under("plant.{}"):
+            system = LinearSystem(A, B)
+        return system, (_array(p["x1"], "plant.x1", 1) if "x1" in p
+                        else np.zeros(system.d_x))
+    d_x, d_u = _count(p, "plant.d_x"), _count(p, "plant.d_u")
+    radius = _number(p, "plant.spectral_radius", 0.9)
+    _require(math.isfinite(radius) and radius >= 0, "plant.spectral_radius",
+             "must be finite and >= 0")
+    rng = np.random.default_rng(_seed(p.get("seed", seed), "plant.seed"))
     A = rng.normal(size=(d_x, d_x))
     rho = max(abs(np.linalg.eigvals(A)))
     if rho > 0:
@@ -273,26 +184,144 @@ def _build_system(p, seed):
     return LinearSystem(A, B), np.zeros(d_x)
 
 
-def _build_disturbance(d, d_x, seed):
-    d = d or {"kind": "zero"}
-    kind = d["kind"]
-    if kind == "zero":
-        return ZeroDisturbance()
-    if kind == "clipped_gaussian":
-        return ClippedGaussianDisturbance(d_x, scale=d.get("scale", 0.5), seed=seed)
-    if kind == "sinusoidal":
-        return SinusoidalDisturbance(d_x, omega=d.get("omega", 0.2),
-                                     phases=d.get("phases"),
-                                     amplitude=d.get("amplitude", 1.0))
-    return SignAdversarialDisturbance(scale=d.get("scale", 1.0))
+def _disturbance(d, d_x, seed):
+    _require_object(d, "disturbance", _DIST_KEYS)
+    for key in ("scale", "omega", "amplitude"):
+        if key in d:
+            _number(d, f"disturbance.{key}")
+    phases = d.get("phases")
+    if "phases" in d and not _is_number(phases):
+        phases = _array(phases, "disturbance.phases", 1)
+    with _under("disturbance.{}"):
+        if d["kind"] == "clipped_gaussian":
+            return ClippedGaussianDisturbance(d_x, scale=d.get("scale", 0.5), seed=seed)
+        if d["kind"] == "sinusoidal":
+            return SinusoidalDisturbance(d_x, omega=d.get("omega", 0.2), phases=phases,
+                                         amplitude=d.get("amplitude", 1.0))
+        if d["kind"] == "sign_adversarial":
+            return SignAdversarialDisturbance(scale=d.get("scale", 1.0))
+    return ZeroDisturbance()
 
 
-def _build_cost(c):
-    c = c or {"kind": "quadratic"}
+def _cost(c, d_x, d_u):
+    _require_object(c, "cost", _COST_KEYS)
     if c["kind"] == "quadratic":
         return CostFunction.quadratic()
-    return CostFunction.weighted_quadratic(np.array(c["Q"], dtype=float),
-                                           np.array(c["R"], dtype=float))
+    Q, R = _array(c.get("Q"), "cost.Q", 2), _array(c.get("R"), "cost.R", 2)
+    for key, m, dim in (("Q", Q, d_x), ("R", R, d_u)):
+        _require(m.shape == (dim, dim), f"cost.{key}", f"must be a {dim}x{dim} matrix")
+    return CostFunction.weighted_quadratic(Q, R)
+
+
+def _plant_experiment(cfg, seed, horizon=None) -> dict:
+    """pipeline's and sysid's plant, system, prior, overrides and the
+    constants run_pipeline derives from them at horizon before any round (by
+    default at the shortest horizon it accepts, T1 + 1)."""
+    system, x1 = _system(cfg["plant"], seed)
+    dist = _disturbance(cfg.get("disturbance", {"kind": "zero"}), system.d_x, seed)
+    cost = _cost(cfg.get("cost", {"kind": "quadratic"}), system.d_x, system.d_u)
+    with _under("plant.{}"):
+        plant = BlackBoxPlant(system, dist, cost, x1, seed=seed)
+    p = cfg["prior"]
+    _require_object(p, "prior", {"k", "kappa", "beta"})
+    k = _count(p, "prior.k")
+    kappa, beta = _number(p, "prior.kappa"), _number(p, "prior.beta")
+    with _under("prior.{}"):
+        prior = PriorBounds(k=k, kappa=kappa, beta=beta)
+    overrides = cfg.get("overrides", {})
+    _require(isinstance(overrides, dict), "overrides", "must be an object")
+    for key in overrides:
+        _number(overrides, f"overrides.{key}")
+    try:
+        constants = derive_constants(
+            prior.k, prior.kappa, prior.beta, system.d_x, system.d_u,
+            horizon or probe_horizon(prior.k, system.d_u) + 2, overrides=overrides,
+            G=plant.cost_scale)
+    except ConfigError as exc:  # a derived constant's failure is the run's
+        if exc.path not in overrides:
+            raise ValueError(exc.message) from exc
+        raise ConfigError(f"overrides.{exc.path}", exc.message) from exc
+    except OverflowError as exc:  # float ** raises where it could give inf
+        raise ValueError(f"the phase constants overflow: {exc}") from exc
+    return {"plant": plant, "system": system, "prior": prior, "overrides": overrides,
+            "constants": constants}
+
+
+def _parse_pipeline(cfg, seed) -> dict:
+    options = cfg.get("options", {})  # run_pipeline's keyword arguments
+    _require_object(options, "options", {"use_certified_stability", "reidentify",
+                                         "comparator_iters"})
+    for key in ("use_certified_stability", "reidentify"):
+        _require(isinstance(options.get(key, False), bool), f"options.{key}",
+                 "must be true or false")
+    _count(options, "options.comparator_iters", 1)
+    horizon = _count(cfg, "horizon")
+    return {**_plant_experiment(cfg, seed, horizon), "horizon": horizon,
+            "options": options}
+
+
+def _parse_sysid(cfg, seed) -> dict:
+    exp = _plant_experiment(cfg, seed)
+    return {**exp, "eps": float(_number(cfg, "eps", exp["constants"].eps))}
+
+
+def _parse_recover(cfg, seed) -> dict:
+    A, B = _array(cfg["A_hat"], "A_hat", 2), _array(cfg["B_hat"], "B_hat")
+    with _under("{}_hat"):
+        system = LinearSystem(A, B)
+    kappa_prime, gamma_prime, eps = (float(_number(cfg, key)) for key in
+                                     ("kappa_prime", "gamma_prime", "eps"))
+    return {"system": system, "recovery": RecoveryConstants.from_existence(
+        kappa_prime, gamma_prime, eps, system.d_x)}
+
+
+def _parse_lowerbound(cfg, seed) -> dict:
+    # d_x's and gamma's ranges are the harnesses' to check
+    name = cfg.get("controller", "zero")
+    _require(isinstance(name, str) and name in lb.BUILTIN_CONTROLLERS, "controller",
+             f"must be one of {sorted(lb.BUILTIN_CONTROLLERS)}")
+    return {"d_x": _count(cfg, "d_x"), "controller": name,
+            "factory": lb.BUILTIN_CONTROLLERS[name],
+            "gamma": float(_number(cfg, "gamma", 40.0))}  # lowerbound-rand's
+
+
+# subcommand: (required keys, other keys besides "experiment" and "seed", parser)
+_SCHEMAS = {
+    "pipeline": ({"plant", "prior", "horizon"},
+                 {"disturbance", "cost", "overrides", "options"}, _parse_pipeline),
+    "sysid": ({"plant", "prior"}, {"disturbance", "cost", "eps", "overrides"},
+              _parse_sysid),
+    "recover": ({"A_hat", "B_hat", "eps", "kappa_prime", "gamma_prime"}, set(),
+                _parse_recover),
+    "lowerbound-rand": ({"d_x"}, {"gamma", "controller"}, _parse_lowerbound),
+    "lowerbound-det": ({"d_x"}, {"controller"}, _parse_lowerbound),
+}
+
+
+def parse_config(subcommand: str, cfg) -> SimpleNamespace:
+    """Check cfg against subcommand's schema and build, as it goes, the
+    objects its runner uses, held by name with the subcommand, the seed
+    (None if cfg has none) and cfg itself. Keys, kinds and JSON types are
+    checked here (a number is a non-bool int or float, a seed a non-bool
+    int >= 0); shapes and ranges only by the constructors, whose errors
+    _under reports under the object's path. Raises ConfigError naming the
+    field; nothing runs."""
+    _require(subcommand in _SCHEMAS, "experiment", f"unknown subcommand {subcommand}")
+    required, optional, parse = _SCHEMAS[subcommand]
+    _require(isinstance(cfg, dict), "$", "config must be a JSON object")
+    if "experiment" in cfg:
+        _require(cfg["experiment"] == subcommand, "experiment",
+                 f"config says {cfg['experiment']!r} but subcommand is {subcommand!r}")
+    for key in cfg:
+        _require(key in required | optional | {"experiment", "seed"}, key,
+                 "unknown key")
+    for key in sorted(required):
+        _require(key in cfg, key, "missing required key")
+    _require("seed" in cfg or subcommand not in {"pipeline", "sysid", "lowerbound-rand"},
+             "seed", "a seed is mandatory for randomized experiments")
+    seed = _seed(cfg["seed"]) if "seed" in cfg else None
+    return SimpleNamespace(subcommand=subcommand, seed=seed, config=cfg,
+                           **parse(cfg, seed))
 
 
 # -- serialization ------------------------------------------------------------
@@ -396,21 +425,15 @@ def _comparator_fields(comparator):
 
 
 # -- experiments --------------------------------------------------------------
-# Each runner returns its (t, phase, x, u, cost) steps and its own summary
-# fields; dispatch writes steps.csv and summary.json.
+# Each runner takes the parsed experiment and returns its (t, phase, x, u,
+# cost) steps and its own summary fields; dispatch writes steps.csv and
+# summary.json.
 
-def _run_pipeline_experiment(cfg):
-    seed = cfg["seed"]
-    sys_true, x1 = _build_system(cfg["plant"], seed)
-    dist = _build_disturbance(cfg.get("disturbance"), sys_true.d_x, seed)
-    cost = _build_cost(cfg.get("cost"))
-    prior = PriorBounds(**cfg["prior"])
-    plant = BlackBoxPlant(sys_true, dist, cost, x1, seed=seed)
-    report = run_pipeline(plant, prior, cfg["horizon"],
-                          overrides=cfg.get("overrides"), seed=seed,
-                          **cfg.get("options", {}))
-    err_A = float(np.linalg.norm(report.estimates.A_hat - sys_true.A, 2))
-    err_B = float(np.linalg.norm(report.estimates.B_hat - sys_true.B, 2))
+def _run_pipeline_experiment(exp):
+    report = run_pipeline(exp.plant, exp.prior, exp.horizon,
+                          overrides=exp.overrides, seed=exp.seed, **exp.options)
+    err_A = float(np.linalg.norm(report.estimates.A_hat - exp.system.A, 2))
+    err_B = float(np.linalg.norm(report.estimates.B_hat - exp.system.B, 2))
     return _log_steps(report.log), {
         "constants": report.constants.as_dict(),
         "constants_provenance": report.constants.provenance,
@@ -437,38 +460,26 @@ def _run_pipeline_experiment(cfg):
     }
 
 
-def _run_sysid_experiment(cfg):
-    seed = cfg["seed"]
-    sys_true, x1 = _build_system(cfg["plant"], seed)
-    dist = _build_disturbance(cfg.get("disturbance"), sys_true.d_x, seed)
-    cost = _build_cost(cfg.get("cost"))
-    prior = PriorBounds(**cfg["prior"])
-    # the constants of the shortest horizon run_pipeline accepts, T = T1 + 1
-    cst = derive_constants(prior.k, prior.kappa, prior.beta, sys_true.d_x,
-                           sys_true.d_u, T=probe_horizon(prior.k, sys_true.d_u) + 2,
-                           overrides=cfg.get("overrides"))
-    eps = float(cfg.get("eps", cst.eps))
-    plant = BlackBoxPlant(sys_true, dist, cost, x1, seed=seed)
-    bundle = adv_sys_id(plant, eps, cst.lam, prior.k, prior.kappa)
+def _run_sysid_experiment(exp):
+    plant = exp.plant
+    lam = exp.constants.lam
+    bundle = adv_sys_id(plant, exp.eps, lam, exp.prior.k, exp.prior.kappa)
     return _log_steps(plant.log), {
-        "eps": eps,
-        "lam": cst.lam,
+        "eps": exp.eps,
+        "lam": lam,
         "A_hat": bundle.A_hat,
         "B_hat": bundle.B_hat,
-        "estimate_error_A": float(np.linalg.norm(bundle.A_hat - sys_true.A, 2)),
-        "estimate_error_B": float(np.linalg.norm(bundle.B_hat - sys_true.B, 2)),
+        "estimate_error_A": float(np.linalg.norm(bundle.A_hat - exp.system.A, 2)),
+        "estimate_error_B": float(np.linalg.norm(bundle.B_hat - exp.system.B, 2)),
         "x_final_norm": float(np.linalg.norm(bundle.x_final)),
         "total_cost": plant.total_cost,
     }
 
 
-def _run_recover_experiment(cfg):
-    A_hat = np.array(cfg["A_hat"], dtype=float)
-    B_hat = np.array(cfg["B_hat"], dtype=float)
-    result = controller_recovery(A_hat, B_hat, float(cfg["eps"]),
-                                 float(cfg["kappa_prime"]),
-                                 float(cfg["gamma_prime"]))
-    closed = A_hat + (B_hat.reshape(A_hat.shape[0], -1)) @ result.K
+def _run_recover_experiment(exp):
+    A_hat, B_hat, rc = exp.system.A, exp.system.B, exp.recovery
+    result = controller_recovery(A_hat, B_hat, rc.eps, rc.kappa_prime, rc.gamma_prime)
+    closed = A_hat + B_hat @ result.K
     return [], {
         "K": result.K,
         "nu": result.constants.nu,
@@ -485,15 +496,13 @@ def _run_recover_experiment(cfg):
     }
 
 
-def _run_lowerbound_rand(cfg):
-    factory = lb.BUILTIN_CONTROLLERS[cfg.get("controller", "zero")]
-    transcript = lb.randomized_lb_trial(factory, cfg["d_x"],
-                                        gamma=float(cfg.get("gamma", 40.0)),
-                                        seed=cfg["seed"])
+def _run_lowerbound_rand(exp):
+    transcript = lb.randomized_lb_trial(exp.factory, exp.d_x, gamma=exp.gamma,
+                                        seed=exp.seed)
     return _transcript_steps(transcript, "lowerbound-rand"), {
         "d_x": transcript.d_x,
         "gamma": transcript.gamma,
-        "controller": cfg.get("controller", "zero"),
+        "controller": exp.controller,
         "steps": len(transcript.steps),
         "h_sq": [float(v) for v in transcript.h_sq],
         "all_doubled": transcript.all_doubled,
@@ -505,12 +514,11 @@ def _run_lowerbound_rand(cfg):
     }
 
 
-def _run_lowerbound_det(cfg):
-    factory = lb.BUILTIN_CONTROLLERS[cfg.get("controller", "zero")]
-    transcript = lb.deterministic_adversary(factory, cfg["d_x"])
+def _run_lowerbound_det(exp):
+    transcript = lb.deterministic_adversary(exp.factory, exp.d_x)
     return _transcript_steps(transcript, "lowerbound-det"), {
         "d_x": transcript.d_x,
-        "controller": cfg.get("controller", "zero"),
+        "controller": exp.controller,
         "final_state_norm": transcript.final_state_norm,
         "growth_threshold": 2.0 ** (transcript.d_x - 1),
         "system_spectral_norm": transcript.system_norm,
@@ -530,16 +538,19 @@ _RUNNERS = {
 
 
 def dispatch(subcommand: str, cfg: dict, out_dir: str) -> None:
-    """Validate and run one experiment, writing steps.csv and summary.json.
+    """Parse and run one experiment, writing steps.csv and summary.json.
 
     Every number of both files is checked to be finite before either is
     written: a NaN or an infinity raises NonFiniteValueError naming the
     field, and nothing is written."""
-    cfg = validate_config(subcommand, cfg)
-    _say(f"running {subcommand} -> {out_dir}")
-    steps, summary = _RUNNERS[subcommand](cfg)
+    _execute(parse_config(subcommand, cfg), out_dir)
+
+
+def _execute(exp, out_dir: str) -> None:
+    log.info(f"running {exp.subcommand} -> {out_dir}")
+    steps, summary = _RUNNERS[exp.subcommand](exp)
     csv_text, cumulative = _csv_text(steps)
-    summary.update(experiment=subcommand, seed=cfg.get("seed"), config=cfg,
+    summary.update(experiment=exp.subcommand, seed=exp.seed, config=exp.config,
                    cumulative_cost=cumulative)
     json_text = _json_text(summary)
     os.makedirs(out_dir, exist_ok=True)
@@ -574,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blackbox-lds",
         description="Black-box LTI control experiments: identification, "
-                    "controller recovery, full pipeline, and lower-bound attacks.")
+                    "controller recovery, full pipeline, and lower-bound attacks.",
+        epilog=_EXIT_CODES, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("subcommand", choices=sorted(_SCHEMAS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -602,6 +614,7 @@ def _run(args) -> int:
                                     "message": str(exc)}}, sort_keys=True))
         return 2
     try:
+        _require(isinstance(cfg, dict), "$", "config must be a JSON object")
         for expr in args.set:
             key, value = _parse_set(expr)
             _apply_set(cfg, key, value)
@@ -610,21 +623,23 @@ def _run(args) -> int:
         if args.trials < 1:
             raise ConfigError("--trials", "must be >= 1")
         if args.trials == 1:
-            dispatch(args.subcommand, dict(cfg), args.out)
+            runs = [(args.out, cfg)]
         else:
-            # a serial loop: on 2 cores a thread pool ran d_x = 800
-            # lowerbound-rand trials 3-5x slower (GIL-bound rounds contending
-            # with multithreaded BLAS) and pipeline trials no faster
-            base_seed = cfg.get("seed", 0)
-            dirs = []
-            for i in range(args.trials):
-                trial_cfg = json.loads(json.dumps(cfg))
-                trial_cfg["seed"] = base_seed + i
-                dirs.append(os.path.join(args.out, f"trial_{i:04d}"))
-                dispatch(args.subcommand, trial_cfg, dirs[-1])
+            base_seed = _seed(cfg.get("seed", 0))
+            runs = [(os.path.join(args.out, f"trial_{i:04d}"),
+                     {**json.loads(json.dumps(cfg)), "seed": base_seed + i})
+                    for i in range(args.trials)]
+        # all trials parsed before any runs, then run serially: on 2 cores a
+        # thread pool ran d_x = 800 lowerbound-rand trials 3-5x slower
+        # (GIL-bound rounds against multithreaded BLAS), pipeline no faster
+        experiments = [(out, parse_config(args.subcommand, trial_cfg))
+                       for out, trial_cfg in runs]
+        for out, exp in experiments:
+            _execute(exp, out)
+        if args.trials > 1:
             _write_text(os.path.join(args.out, "trials.json"),
-                        _json_text({"trials": args.trials,
-                                    "base_seed": base_seed, "dirs": dirs}))
+                        _json_text({"trials": args.trials, "base_seed": base_seed,
+                                    "dirs": [out for out, _ in runs]}))
     except ConfigError as exc:
         print(json.dumps({"error": {"kind": "config", "path": exc.path,
                                     "message": str(exc)}}, sort_keys=True))

@@ -74,9 +74,12 @@ class ConstructionDriftError(BlackBoxControlError):
     state disagree beyond the rounding tolerance."""
 
 
-class ConfigError(BlackBoxControlError):
-    """Invalid experiment configuration; carries the offending field path."""
+class ConfigError(BlackBoxControlError, ValueError):
+    """Invalid experiment configuration or constructor argument; carries the
+    offending field path and the message without it. A ValueError too, so a
+    range check that raises it is caught where a ValueError is."""
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")

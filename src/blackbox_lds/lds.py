@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     CertificateError,
+    ConfigError,
     DimensionMismatchError,
     NotControllableError,
 )
@@ -49,7 +50,9 @@ def _as_vector(v, dim, name):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """The unknown plant (A, B)."""
+    """The unknown plant (A, B). A that is not square, or B whose rows are
+    not A's (a flat B is one input), raises DimensionMismatchError naming
+    the matrix; a NaN or an infinity raises ConfigError naming it."""
 
     A: np.ndarray
     B: np.ndarray
@@ -59,12 +62,13 @@ class LinearSystem:
         B = np.asarray(self.B, dtype=float)
         if B.ndim == 1:
             B = B.reshape(-1, 1)
-        if A.shape[0] != A.shape[1]:
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatchError("A", "(d_x, d_x)", A.shape)
-        if B.shape[0] != A.shape[0]:
+        if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise DimensionMismatchError("B", (A.shape[0], "d_u"), B.shape)
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise ValueError("system matrices must be finite")
+        for name, m in (("A", A), ("B", B)):
+            if not np.isfinite(m).all():
+                raise ConfigError(name, "system matrices must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -80,7 +84,9 @@ class LinearSystem:
 @dataclass(frozen=True)
 class PriorBounds:
     """What the black-box learner is told up front: controllability index k,
-    controllability parameter kappa, and spectral-norm bound beta on A, B."""
+    controllability parameter kappa, and spectral-norm bound beta on A, B.
+    k < 1, or a kappa or beta that is not finite and >= 1, raises
+    ConfigError naming the field."""
 
     k: int
     kappa: float
@@ -88,11 +94,11 @@ class PriorBounds:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")
+            raise ConfigError("k", "k must be a positive integer")
+        for name in ("kappa", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 1.0):
+                raise ConfigError(name, f"{name} must be finite and >= 1")
 
 
 class DisturbanceSource:
@@ -112,9 +118,12 @@ class ZeroDisturbance(DisturbanceSource):
 
 
 class ClippedGaussianDisturbance(DisturbanceSource):
-    """Gaussian draws with the norm clipped at 1."""
+    """Gaussian draws with the norm clipped at 1. A scale that is not finite
+    and >= 0 raises ConfigError("scale")."""
 
     def __init__(self, d_x, scale=0.5, seed=0):
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise ConfigError("scale", "scale must be finite and >= 0")
         self.d_x = d_x
         self.scale = float(scale)
         self.rng = np.random.default_rng(seed)
@@ -128,17 +137,30 @@ class ClippedGaussianDisturbance(DisturbanceSource):
 
 
 class SinusoidalDisturbance(DisturbanceSource):
-    """Oblivious per-coordinate sinusoid, normalized so ||w_t|| <= 1."""
+    """Oblivious per-coordinate sinusoid, normalized so ||w_t|| <= 1.
+
+    phases is d_x numbers, or one for every coordinate (default: spread over
+    [0, pi/2)). An amplitude outside (0, 1], or an omega or a phase that is
+    not finite, raises ConfigError naming it; phases of another length raise
+    DimensionMismatchError("phases")."""
 
     def __init__(self, d_x, omega=0.2, phases=None, amplitude=1.0):
         if not 0 < amplitude <= 1.0:
-            raise ValueError("amplitude must be in (0, 1]")
+            raise ConfigError("amplitude", "amplitude must be in (0, 1]")
+        if phases is None:
+            phases = np.linspace(0.0, np.pi / 2.0, d_x, endpoint=False)
+        phases = np.asarray(phases, dtype=float)
+        if phases.ndim == 0:
+            phases = np.full(d_x, phases)
+        if phases.shape != (d_x,):
+            raise DimensionMismatchError("phases", (d_x,), phases.shape)
+        for name, value in (("omega", omega), ("phases", phases)):
+            if not np.isfinite(value).all():
+                raise ConfigError(name, f"{name} must be finite")
         self.d_x = d_x
         self.omega = float(omega)
         self.amplitude = float(amplitude)
-        if phases is None:
-            phases = np.linspace(0.0, np.pi / 2.0, d_x, endpoint=False)
-        self.phases = np.asarray(phases, dtype=float)
+        self.phases = phases
 
     def __call__(self, t, x):
         raw = np.sin(self.omega * t + self.phases)
@@ -150,11 +172,12 @@ class SignAdversarialDisturbance(DisturbanceSource):
 
     A state whose largest |entry| lies outside _NORM_SAFE_RANGE is divided
     by that entry first: its sum of squares would overflow, or underflow
-    and lose the digits that keep ||w_t|| at scale."""
+    and lose the digits that keep ||w_t|| at scale. A scale outside (0, 1]
+    raises ConfigError("scale")."""
 
     def __init__(self, scale=1.0):
         if not 0 < scale <= 1.0:
-            raise ValueError("scale must be in (0, 1]")
+            raise ConfigError("scale", "scale must be in (0, 1]")
         self.scale = float(scale)
 
     def __call__(self, t, x):

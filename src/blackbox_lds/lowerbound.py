@@ -42,7 +42,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import ConstructionDriftError, NonDeterministicControllerError
+from .errors import (ConfigError, ConstructionDriftError, DimensionMismatchError,
+                     NonDeterministicControllerError, NonFiniteValueError)
 from .lds import _NORM_SAFE_RANGE, _Rows
 
 ControllerFn = Callable[[List[np.ndarray]], np.ndarray]
@@ -113,9 +114,12 @@ class SubspaceTracker:
 
 
 def sample_gaussian_system(d_x: int, gamma: float, seed) -> np.ndarray:
-    """A with i.i.d. N(0, gamma/d_x) entries from the seeded generator."""
-    if d_x < 1 or gamma <= 0:
-        raise ValueError("d_x must be >= 1 and gamma > 0")
+    """A with i.i.d. N(0, gamma/d_x) entries from the seeded generator; a
+    d_x < 1 or a gamma not finite and > 0 raises ConfigError naming it."""
+    if d_x < 1:
+        raise ConfigError("d_x", "d_x must be >= 1")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError("gamma", "gamma must be finite and > 0")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, math.sqrt(gamma / d_x), size=(d_x, d_x))
 
@@ -165,7 +169,8 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
     with costs ||x||^2 + ||u||^2, tracking the unseen-subspace residual h_t
     and whether it doubled. Round t costs O(d_x^2) for A x_t and O(d_x t)
     for the tracker (two residuals: h_t, reused to extend the span by x_t,
-    and that of u_t), plus the controller's call.
+    and that of u_t), plus the controller's call. A control that is not d_x
+    long raises DimensionMismatchError("control").
 
     ||A|| is taken once, right after sampling and before the controller is
     built: its Gram matrix and the eigensolver's copy of it (two d_x^2
@@ -188,6 +193,8 @@ def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
         if h_prev_sq is not None:
             steps[-1].doubled = bool(h_sq >= 2.0 * h_prev_sq)
         u = np.asarray(controller(history), dtype=float).reshape(-1)
+        if u.shape != x.shape:
+            raise DimensionMismatchError("control", x.shape, u.shape)
         total_cost += float(x @ x + u @ u)
         steps.append(TranscriptStep(t=t, x=x, u=u.copy(), h_sq=h_sq,
                                     doubled=None))
@@ -249,9 +256,13 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     never restacked, and the escape direction reads running column sums of
     squares of V instead of summing V * V again. ||Q'V|| is taken once, after
     the last round, by `_spectral_norm`.
+
+    d_x < 2 raises ConfigError("d_x"), a control not d_x long
+    DimensionMismatchError("control"), and a NaN or an infinity in a control
+    (never equal to itself) NonFiniteValueError("control", t).
     """
     if d_x < 2:
-        raise ValueError("d_x must be >= 2")
+        raise ConfigError("d_x", "d_x must be >= 2")
     controller = controller_factory()
     witness = controller_factory()
     V_rows = _Rows(d_x, max_rows=d_x)
@@ -272,7 +283,11 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     for t in range(1, d_x):
         u = np.asarray(controller(history), dtype=float).reshape(-1)
         u_check = np.asarray(witness(witness_history), dtype=float).reshape(-1)
-        if u.shape != u_check.shape or not np.array_equal(u, u_check):
+        if u.shape != x.shape:
+            raise DimensionMismatchError("control", x.shape, u.shape)
+        if u_check.shape != u.shape or not np.array_equal(u, u_check):
+            if not (np.isfinite(u).all() and np.isfinite(u_check).all()):
+                raise NonFiniteValueError("control", t)
             raise NonDeterministicControllerError(
                 f"controller produced different controls at step {t}")
         V = V_rows.view

@@ -134,11 +134,8 @@ def estimate_disturbance(A_est, B_est, x_t, u_t, x_next) -> np.ndarray:
     arithmetic order so that with exact estimates the only deviation from the
     true w_t is the single rounding of the forward addition.
     """
-    A_est = np.atleast_2d(np.asarray(A_est, dtype=float))
-    B_est = np.asarray(B_est, dtype=float)
-    if B_est.ndim == 1:
-        B_est = B_est.reshape(-1, 1)
-    return _estimate_disturbance(A_est, B_est, np.asarray(x_t, dtype=float),
+    est = LinearSystem(A_est, B_est)
+    return _estimate_disturbance(est.A, est.B, np.asarray(x_t, dtype=float),
                                  np.asarray(u_t, dtype=float),
                                  np.asarray(x_next, dtype=float))
 
@@ -238,10 +235,8 @@ def surrogate_gradient(params: DacParams, A_est, B_est, K, w_window,
 
 
 def _normalize_surrogate_args(A_est, B_est, K, w_window, H):
-    A_est = np.atleast_2d(np.asarray(A_est, dtype=float))
-    B_est = np.asarray(B_est, dtype=float)
-    if B_est.ndim == 1:
-        B_est = B_est.reshape(-1, 1)
+    est = LinearSystem(A_est, B_est)
+    A_est, B_est = est.A, est.B
     K = np.atleast_2d(np.asarray(K, dtype=float))
     w_window = np.atleast_2d(np.asarray(w_window, dtype=float))
     if len(w_window) != 2 * H:
@@ -285,11 +280,8 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     if eta < 0:
         raise ValueError("eta must be >= 0")
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    A_est = np.atleast_2d(np.asarray(A_est, dtype=float))
-    B_est = np.asarray(B_est, dtype=float)
-    if B_est.ndim == 1:
-        B_est = B_est.reshape(-1, 1)
-    d_x, d_u = A_est.shape[0], B_est.shape[1]
+    est = LinearSystem(A_est, B_est)
+    A_est, B_est, d_x, d_u = est.A, est.B, est.d_x, est.d_u
     params = project_M(DacParams.zeros(H, d_u, d_x), kappa_star, gamma_tilde)
     bounds = params.block_bounds(kappa_star, gamma_tilde)
     violation = params.max_violation(kappa_star, gamma_tilde)

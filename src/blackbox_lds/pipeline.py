@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ComparatorUnavailableError, PhaseError, ProbeScalingError
+from .errors import (ComparatorUnavailableError, ConfigError, PhaseError,
+                     ProbeScalingError)
 from .lds import PriorBounds, RunLog
 from .nsc import GpcResult, HindsightResult, best_dac_in_hindsight, gpc_run
 from .plant import BlackBoxPlant
@@ -73,12 +74,15 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
 
     Overriding a constant reroutes everything downstream of it; provenance
     marks each value as default, override, or derived-from-override. Raises
-    if the probe scalings are unrepresentable and no override rescues them.
+    ProbeScalingError if the probe scalings are unrepresentable and no
+    override rescues them. Any other failed check (an unknown override, a
+    constant not positive and finite, eps >= 1/2, ...) raises ConfigError
+    naming the constant, overridden or derived.
     """
     overrides = dict(overrides or {})
-    unknown = set(overrides) - set(_DERIVABLE)
+    unknown = sorted(set(overrides) - set(_DERIVABLE))
     if unknown:
-        raise ValueError(f"unknown constant overrides: {sorted(unknown)}")
+        raise ConfigError(unknown[0], f"unknown constant overrides: {unknown}")
     prov = {}
     resolve = _resolver(overrides, prov)
     lam = resolve("lam", lambda: 8.0 * beta)
@@ -89,7 +93,7 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
     eps = resolve("eps", lambda: gamma_prime**2 / (1e5 * d_x**2 * kappa_prime**8),
                   "gamma_prime", "kappa_prime")
     if eps >= 0.5:
-        raise ValueError("accuracy parameter eps must be < 1/2")
+        raise ConfigError("eps", "accuracy parameter eps must be < 1/2")
 
     def eps0_formula():
         try:
@@ -120,7 +124,8 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
         eta=eta, T0=T0, provenance=prov)
     for name in _DERIVABLE:
         if getattr(consts, name) <= 0 or not math.isfinite(getattr(consts, name)):
-            raise ValueError(f"derived constant {name} must be positive and finite")
+            raise ConfigError(name,
+                              f"derived constant {name} must be positive and finite")
     return consts
 
 
@@ -133,9 +138,12 @@ def _resolver(overrides: dict, prov: dict):
 
     def resolve(name, formula, *parents):
         if name in overrides:
+            value = float(overrides[name])
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(name, f"override {name} must be positive and finite")
             prov[name] = "override"
             tainted.add(name)
-            return float(overrides[name])
+            return value
         value = formula()
         if any(p in tainted for p in parents):
             prov[name] = "derived-from-override"

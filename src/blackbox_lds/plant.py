@@ -41,7 +41,8 @@ class BlackBoxPlant:
     Usage: read .state, call .apply(u, phase) to commit a control. There are
     no resets. `simulation_mode` gates post-hoc introspection (true system,
     disturbance history) used for verification; an opaque deployment would
-    construct the plant with simulation_mode=False.
+    construct the plant with simulation_mode=False. An initial state x1
+    that is not d_x long raises DimensionMismatchError("x1").
     """
 
     def __init__(self, sys: LinearSystem, disturbance: DisturbanceSource,
@@ -53,7 +54,7 @@ class BlackBoxPlant:
         self.simulation_mode = simulation_mode
         x1 = np.asarray(x1, dtype=float).reshape(-1)
         if x1.shape != (sys.d_x,):
-            raise DimensionMismatchError("initial state", (sys.d_x,), x1.shape)
+            raise DimensionMismatchError("x1", (sys.d_x,), x1.shape)
         self._x = x1.copy()
         self._t = 1
         self._log = RunLog(sys.d_x, sys.d_u, seed=seed)

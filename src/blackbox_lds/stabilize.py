@@ -21,10 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NotStabilizingError,
     SdpInfeasibleError,
 )
-from .lds import spectral_norm
+from .lds import LinearSystem, spectral_norm
 from .plant import BlackBoxPlant
 
 DEFAULT_TOL = 1e-9
@@ -75,13 +76,22 @@ class RecoveryConstants:
     @staticmethod
     def from_existence(kappa_prime: float, gamma_prime: float, eps: float,
                        d_x: int) -> "RecoveryConstants":
+        """The constants for a (kappa', gamma')-strongly stabilizable true
+        system estimated to accuracy eps. kappa' < 1 or gamma' outside (0, 1]
+        (no such system exists), eps not finite and >= 0, or gamma' <= 2 eps
+        kappa'^2 raises ConfigError naming kappa_prime, gamma_prime or eps."""
+        if not (math.isfinite(kappa_prime) and kappa_prime >= 1.0):
+            raise ConfigError("kappa_prime", "kappa' must be finite and >= 1 "
+                              "(||H|| ||H^-1|| >= 1)")
+        if not 0.0 < gamma_prime <= 1.0:
+            raise ConfigError("gamma_prime", "gamma' must be in (0, 1]")
         if not (math.isfinite(eps) and eps >= 0.0):
             # a negative eps would shrink nu below its eps = 0 value
-            raise ValueError(f"eps must be finite and >= 0, got {eps}")
+            raise ConfigError("eps", f"eps must be finite and >= 0, got {eps}")
         margin = gamma_prime - 2.0 * eps * kappa_prime**2
         if margin <= 0.0:
-            raise ValueError("gamma' must exceed 2 eps kappa'^2 (nu denominator "
-                             "nonpositive): choose a smaller eps")
+            raise ConfigError("eps", "gamma' must exceed 2 eps kappa'^2 (nu "
+                              "denominator nonpositive): choose a smaller eps")
         nu = 2.0 * kappa_prime**4 * d_x / margin
         kappa_tilde = 2.0 * kappa_prime**2 * math.sqrt(d_x) / math.sqrt(gamma_prime)
         gamma_tilde = gamma_prime / (16.0 * d_x * kappa_prime**4)
@@ -145,13 +155,9 @@ class AffineProjector:
     """
 
     def __init__(self, A_hat, B_hat):
-        A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
-        B_hat = np.asarray(B_hat, dtype=float)
-        if B_hat.ndim == 1:
-            B_hat = B_hat.reshape(-1, 1)
-        self.d_x = A_hat.shape[0]
-        self.d_u = B_hat.shape[1]
-        self.G = np.hstack([A_hat, B_hat])
+        estimates = LinearSystem(A_hat, B_hat)
+        self.d_x, self.d_u = estimates.d_x, estimates.d_u
+        self.G = np.hstack([estimates.A, estimates.B])
         self._upper = np.triu_indices(self.d_x, 1)
         self._eye = np.eye(self.d_x)
         m = self.d_x * (self.d_x + 1) // 2
@@ -293,13 +299,11 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
     constants for the true system. A direct strong-stability witness on the
     estimates, H = Sigma_xx^{1/2} and L = H^{-1}(A_hat + B_hat K) H, is built
     and checked against the feasibility-implied bound ||L|| <= 1 - 1/(2 nu).
-    The trace cap nu is derived from (kappa', gamma', eps) unless given.
+    The trace cap nu is derived from (kappa', gamma', eps) unless given;
+    RecoveryConstants.from_existence names any of them out of range.
     """
-    A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
-    B_hat = np.asarray(B_hat, dtype=float)
-    if B_hat.ndim == 1:
-        B_hat = B_hat.reshape(-1, 1)
-    d_x = A_hat.shape[0]
+    estimates = LinearSystem(A_hat, B_hat)
+    A_hat, B_hat, d_x = estimates.A, estimates.B, estimates.d_x
     constants = RecoveryConstants.from_existence(kappa_prime, gamma_prime, eps, d_x)
     if nu is not None:
         constants = replace(constants, nu=float(nu))

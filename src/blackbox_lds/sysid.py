@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotControllableError, ProbeScalingError
+from .errors import ConfigError, NotControllableError, ProbeScalingError
 from .lds import RANK_RTOL
 from .plant import BlackBoxPlant
 
@@ -80,11 +80,12 @@ class EstimateBundle:
 
 def epsilon_zero(eps: float, d_u: int, k: int, lam: float, d_x: int,
                  kappa: float) -> float:
-    """Base probe scale eps0 = eps / (100 d_u^2 k^2 lam^{3k} d_x sqrt(kappa))."""
-    if min(eps, d_u, k, lam, d_x, kappa) <= 0:
+    """Base probe scale eps0 = eps / (100 d_u^2 k^2 lam^{3k} d_x sqrt(kappa)).
+    An eps outside (0, 1/2) raises ConfigError("eps")."""
+    if not 0.0 < eps < 0.5:
+        raise ConfigError("eps", "accuracy parameter eps must be in (0, 1/2)")
+    if min(d_u, k, lam, d_x, kappa) <= 0:
         raise ValueError("all arguments must be positive")
-    if eps >= 0.5:
-        raise ValueError("accuracy parameter eps must be < 1/2")
     try:
         denom = 1e2 * d_u**2 * k**2 * lam ** (3 * k) * d_x * math.sqrt(kappa)
     except OverflowError:

@@ -1,13 +1,19 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blackbox_lds import cli
 from blackbox_lds.cli import main
@@ -163,6 +169,9 @@ class TestSchemaValidation:
         ("plant.B", [[1.0], [1.0]]),
         ("plant.B", [1.0, 1.0]),
         ("plant.B", [[True]]),
+        # a matrix whose rows are not all lists
+        ("plant.A", [0.5]),
+        ("plant.B", [[1.0], 2.0]),
     ])
     def test_mistyped_value_exit_2(self, tmp_path, capsys, path, value):
         cfg = json.loads(json.dumps(PIPELINE_CFG))
@@ -178,6 +187,8 @@ class TestSchemaValidation:
     @pytest.mark.parametrize("plant,cost,path", [
         ({"kind": "explicit", "A": [[0.5]], "B": [[1.0]]},
          {"kind": "weighted_quadratic", "R": [[1.0]]}, "cost.Q"),
+        ({"kind": "explicit", "A": [[0.5]], "B": [[1.0]]},
+         {"kind": "weighted_quadratic", "Q": [1.0], "R": [[1.0]]}, "cost.Q"),
         ({"kind": "random", "d_x": 3, "d_u": 2},
          {"kind": "weighted_quadratic", "Q": [[1.0, 0.0, 0.0]] * 3,
           "R": [[1.0, 0.0, 0.0]] * 3}, "cost.R"),
@@ -198,6 +209,8 @@ class TestSchemaValidation:
         ("B_hat", [[1.0], [0.3], [0.0]]),
         ("B_hat", [1.0]),
         ("B_hat", [[1.0], [0.3, 0.1]]),
+        ("A_hat", [1.1, 0.2]),
+        ("A_hat", [[1.1, 0.2], None]),
     ])
     def test_recover_shapes_exit_2(self, tmp_path, capsys, key, value):
         cfg = {**CONFIGS["recover"], key: value}
@@ -249,10 +262,11 @@ class TestSchemaValidation:
         cfg = _write_config(tmp_path, "cfg.json",
                             {**CONFIGS["recover"], "eps": -1})
         out = tmp_path / "o"
-        assert main(["recover", "--config", cfg, "--out", str(out)]) != 0
+        assert main(["recover", "--config", cfg, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["kind"], err["path"]) == ("config", "eps")
         assert "eps must be finite and >= 0" in err["message"]
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         bad = {**PIPELINE_CFG, "horizon": 2}
@@ -262,6 +276,20 @@ class TestSchemaValidation:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "runtime"
         assert err["error"]["phase"] == "sysid"
+
+    @pytest.mark.parametrize("path,value", [
+        ("prior.kappa", 1e200),  # C = 3 kappa^2 k^2 beta^(6k) overflows
+        ("overrides.kappa_star", 1e300),  # H's kappa*^2 T overflows
+    ])
+    def test_overflowing_constants_exit_1(self, tmp_path, capsys, path, value):
+        cfg = _replaced(PIPELINE_CFG, path, value)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "runtime"
+        assert not out.exists()
 
 
 class TestSetOverrides:
@@ -275,21 +303,140 @@ class TestSetOverrides:
         assert summary["constants"]["eps"] == 1e-4
 
 
+RANDOM_PLANT_CFG = {
+    "experiment": "pipeline",
+    "seed": 9,
+    "plant": {"kind": "random", "d_x": 2, "d_u": 2, "spectral_radius": 0.7,
+              "seed": 9},
+    "prior": {"k": 1, "kappa": 30.0, "beta": 1.5},
+    "horizon": 200,
+    "disturbance": {"kind": "sinusoidal", "omega": 0.3},
+    "overrides": {"eps": 1e-4, "kappa_prime": 3.0, "gamma_prime": 0.1},
+    "options": {"use_certified_stability": True, "comparator_iters": 20},
+}
+
+
+def _replaced(cfg, path, value):
+    """A deep copy of cfg with the dotted path set to value."""
+    cfg = copy.deepcopy(cfg)
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return cfg
+
+
+class TestRangeErrors:
+    """A value out of range exits 2 naming its field, as a mistyped one does,
+    before anything runs or is written."""
+
+    INF = float("inf")  # written as 1e400, which JSON reads as inf
+
+    @pytest.mark.parametrize("base,path,value,trials", [
+        ("sysid", "prior.kappa", 0.5, 1),
+        ("pipeline", "prior.beta", 0.5, 1),
+        ("pipeline", "disturbance.amplitude", 2.0, 1),
+        ("sysid", "disturbance.scale", -0.5, 1),
+        ("pipeline", "plant.A", [[INF]], 1),
+        ("random-plant", "plant.seed", "x", 1),
+        ("random-plant", "plant.spectral_radius", "abc", 1),
+        ("lowerbound-rand", "controller", ["zero"], 1),
+        ("lowerbound-rand", "seed", "x", 2),
+        ("lowerbound-rand", "seed", True, 1),
+        ("lowerbound-det", "seed", 1.5, 2),
+        ("lowerbound-rand", "gamma", -1.0, 1),
+        ("lowerbound-det", "d_x", 1, 1),
+        ("recover", "eps", -1, 1),
+        ("recover", "gamma_prime", -1.0, 1),
+        ("pipeline", "overrides.eps", 0.7, 1),
+        ("pipeline", "overrides.H", -3, 1),
+        # no system is (kappa', gamma')-strongly stable with kappa' < 1 or
+        # gamma' > 1; these used to run Dykstra to its plateau and exit 1
+        ("recover", "kappa_prime", 0.1, 1),
+        ("recover", "gamma_prime", 1.5, 1),
+        ("pipeline", "overrides.kappa_prime", 0.5, 1),
+    ])
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, base, path, value,
+                                     trials):
+        cfg = _replaced(RANDOM_PLANT_CFG if base == "random-plant"
+                        else CONFIGS[base], path, value)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
+        out = tmp_path / "o"
+        assert main([cfg["experiment"], "--config", str(config), "--out", str(out),
+                     "--trials", str(trials)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert (err["kind"], err["path"]) == ("config", path)
+        assert not out.exists()
+
+
+def _fields(cfg, prefix=""):
+    for key, value in cfg.items():
+        yield prefix + key, value
+        if isinstance(value, dict):
+            yield from _fields(value, f"{prefix}{key}.")
+
+
+def _is_json_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_type_of(original, value) -> bool:
+    """value has the JSON type of the config value it replaces: a count or a
+    seed (an int there) needs an int, a float any number, a matrix or a
+    vector a list of numbers or of lists of them."""
+    if isinstance(original, bool):
+        return isinstance(value, bool)
+    if isinstance(original, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(original, float):
+        return _is_json_number(value)
+    if isinstance(original, list):
+        return isinstance(value, list) and all(
+            _is_json_number(v) or isinstance(v, list) and all(map(_is_json_number, v))
+            for v in value)
+    return isinstance(value, type(original))
+
+
+_BASES = {**CONFIGS, "random-plant": RANDOM_PLANT_CFG}
+_FIELD_CASES = [(base, path, original) for base, cfg in sorted(_BASES.items())
+                for path, original in _fields(cfg)]
+_POOL = ["x", True, None, [], [["a"]], [0.5], [[1.0], 2.0], -1, 0, 0.7, float("inf")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_FIELD_CASES), value=st.sampled_from(_POOL),
+       trials=st.sampled_from([1, 2]))
+def test_main_never_raises_on_a_bad_value(case, value, trials):
+    """Any one field of a working config replaced by any value of the pool:
+    main() returns 0, 1 or 2 and, unless 0, prints one JSON error line,
+    which names the field when the value has the wrong JSON type."""
+    base, path, original = case
+    cfg = _replaced(_BASES[base], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "cfg.json")
+        with open(config, "w") as fh:
+            fh.write(json.dumps(cfg).replace("Infinity", "1e400"))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([_BASES[base]["experiment"], "--config", config,
+                         "--out", os.path.join(tmp, "o"), "--trials", str(trials)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        return
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    if not _has_type_of(original, value):
+        assert (code, err["kind"], err["path"]) == (2, "config", path)
+
+
 class TestRandomPlant:
     def test_random_plant_pipeline(self, tmp_path):
-        cfg = _write_config(tmp_path, "cfg.json", {
-            "experiment": "pipeline",
-            "seed": 9,
-            "plant": {"kind": "random", "d_x": 2, "d_u": 2,
-                      "spectral_radius": 0.7},
-            "prior": {"k": 1, "kappa": 30.0, "beta": 1.5},
-            "horizon": 200,
-            "disturbance": {"kind": "sinusoidal", "omega": 0.3},
-            "overrides": {"eps": 1e-4, "kappa_prime": 3.0,
-                          "gamma_prime": 0.1},
-            "options": {"use_certified_stability": True,
-                        "comparator_iters": 20},
-        })
+        cfg = _write_config(tmp_path, "cfg.json", RANDOM_PLANT_CFG)
         out = tmp_path / "o"
         code = main(["pipeline", "--config", cfg, "--out", str(out)])
         # random instances may violate the supplied existence constants, in
@@ -512,6 +659,8 @@ class TestModuleEntryPoint:
                              timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("usage: blackbox-lds")
+        assert cli._EXIT_CODES in cli.__doc__
+        assert run.stdout.endswith(cli._EXIT_CODES)
         cfg = _write_config(tmp_path, "cfg.json", {
             "experiment": "recover", "A_hat": [[0.5]], "B_hat": [[1.0]],
             "eps": 1e-6, "kappa_prime": 2.0, "gamma_prime": 0.2})

@@ -14,7 +14,9 @@ from blackbox_lds import (
 )
 from blackbox_lds.errors import (
     ConstructionDriftError,
+    DimensionMismatchError,
     NonDeterministicControllerError,
+    NonFiniteValueError,
 )
 from blackbox_lds import lowerbound as lb
 from blackbox_lds.lowerbound import (
@@ -288,6 +290,27 @@ class TestDeterministicAdversary:
     def test_dimension_precondition(self):
         with pytest.raises(ValueError):
             deterministic_adversary(zero_controller, 1)
+
+    def test_non_finite_control_is_named_not_blamed_on_the_controller(self):
+        # NaN never compares equal to itself, so the determinism check used
+        # to report a deterministic NaN control as nondeterminism
+        def nan_factory():
+            return lambda hist: np.full_like(hist[-1], np.nan)
+
+        with pytest.raises(NonFiniteValueError) as err:
+            deterministic_adversary(nan_factory, 10)
+        assert (err.value.what, err.value.step) == ("control", 1)
+
+    @pytest.mark.parametrize("harness,d_x", [(deterministic_adversary, 10),
+                                             (randomized_lb_trial, 40)])
+    def test_control_of_the_wrong_length_is_named(self, harness, d_x):
+        def short_factory():
+            return lambda hist: np.zeros(len(hist[-1]) - 1)
+
+        with pytest.raises(DimensionMismatchError) as err:
+            harness(short_factory, d_x)
+        assert (err.value.operand, err.value.expected, err.value.got) \
+            == ("control", (d_x,), (d_x - 1,))
 
     def test_each_instance_owns_one_growing_history(self):
         # the controller and its witness each get one list for the whole

@@ -19,7 +19,7 @@ from blackbox_lds import (
     project_psd_trace,
     sdp_feasibility,
 )
-from blackbox_lds.errors import NotStabilizingError, SdpInfeasibleError
+from blackbox_lds.errors import ConfigError, NotStabilizingError, SdpInfeasibleError
 from blackbox_lds.stabilize import AffineProjector, RecoveryConstants, decay_horizon
 from conftest import random_certified_pair
 from stabilize_reference import RefAffineProjector, ref_sdp_feasibility
@@ -301,6 +301,24 @@ class TestControllerRecovery:
             RecoveryConstants.from_existence(1.0, 0.01, 0.3, 1)
         with pytest.raises(ValueError):
             controller_recovery([[0.5]], [[1.0]], 0.3, 1.0, 0.01)
+
+    @pytest.mark.parametrize("kappa_prime,gamma_prime,field", [
+        # ||H|| ||H^-1|| >= 1, so no system is strongly stable with kappa' < 1
+        (0.1, 0.05, "kappa_prime"),
+        (1.0 - 1e-12, 0.05, "kappa_prime"),
+        (float("inf"), 0.05, "kappa_prime"),
+        # ||L|| <= 1 - gamma' needs 0 < gamma' <= 1
+        (3.0, 0.0, "gamma_prime"),
+        (3.0, -1.0, "gamma_prime"),
+        (3.0, 1.0 + 1e-12, "gamma_prime"),
+    ])
+    def test_existence_parameters_a_system_can_have(self, kappa_prime,
+                                                    gamma_prime, field):
+        with pytest.raises(ConfigError) as err:
+            RecoveryConstants.from_existence(kappa_prime, gamma_prime, 0.0, 2)
+        assert err.value.path == field
+        # the bounds themselves are allowed
+        RecoveryConstants.from_existence(1.0, 1.0, 0.0, 2)
 
     @pytest.mark.parametrize("eps", [-1.0, -1e-300, float("nan"), float("inf")])
     def test_eps_must_be_finite_and_nonnegative(self, eps):
