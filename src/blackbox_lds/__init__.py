@@ -35,17 +35,8 @@ from .stabilize import (
     project_psd_trace,
     sdp_feasibility,
 )
-from .nsc import (
-    DacParams,
-    best_dac_in_hindsight,
-    dac_control,
-    estimate_disturbance,
-    gpc_run,
-    project_M,
-    surrogate_cost,
-    surrogate_gradient,
-)
-from .pipeline import PhaseConstants, PipelineReport, derive_constants, regret, run_pipeline
+from .nsc import best_dac_in_hindsight, gpc_run
+from .pipeline import PhaseConstants, PipelineReport, derive_constants, run_pipeline
 from .lowerbound import (
     AdversaryTranscript,
     SubspaceTracker,

@@ -61,10 +61,6 @@ class PhaseError(BlackBoxControlError):
         super().__init__(f"[{phase}] {message}")
 
 
-class ComparatorUnavailableError(BlackBoxControlError):
-    """Regret requested but no comparator value is present."""
-
-
 class NonDeterministicControllerError(BlackBoxControlError):
     """Controller produced different controls on identical histories."""
 

@@ -1,19 +1,21 @@
 """Phase 3: online nonstochastic control with a disturbance-action controller.
 
 Controls are u_t = K x_t + sum_i M^{i-1} w_hat_{t-i} with the history
-matrices M updated by projected online gradient descent on a surrogate loss:
-the cost of the H-step zero-reset counterfactual trajectory replayed through
-the estimated dynamics. States are affine in M, so the surrogate is convex
-and its gradient is exact chain rule through the unrolled recursion.
+matrices M, an (H, d_u, d_x) array, updated by projected online gradient
+descent on a surrogate loss: the cost of the H-step zero-reset
+counterfactual trajectory replayed through the estimated dynamics. States
+are affine in M, so the surrogate is convex and its gradient is exact chain
+rule through the unrolled recursion.
 
 For fixed estimates (A~, B~) and gain K the operators of that recursion are
 constant: with Acl = A~ + B~K the terminal counterfactual state is
 sum_s Acl^{H-1-s} (B~ o_s + w_{s+H}), where o_s is the DAC offset at step s.
 The online loop builds the powers Acl^j and Acl^j B~ once per run, laid side
 by side as (d_x, H d_x) and (d_x, H d_u) matrices, so each gradient is a few
-2-D matmuls with no loop over the horizon; surrogate_cost keeps the
-step-by-step rollout as the reference. The loop keeps the last 2H
-disturbance estimates in a mirrored ring buffer of 4H rows (see gpc_run).
+2-D matmuls with no loop over the horizon. The step-by-step rollout of the
+surrogate, against which these are checked, is `surrogate_cost` in
+tests/gpc_reference.py. The loop keeps the last 2H disturbance estimates in
+a mirrored ring buffer of 4H rows (see gpc_run).
 
 The projection onto the spectral-norm ball acts block by block. When
 min(d_u, d_x) = 1 every block is a vector, whose spectral norm is its
@@ -41,12 +43,31 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 from .lds import CostFunction, CostSpec, LinearSystem, cost_at
 from .plant import BlackBoxPlant
 
 # best_dac_in_hindsight stops once the projected-gradient norm is this small
 _COMPARATOR_GRAD_TOL = 1e-8
+
+
+def _block_bounds(H: int, kappa: float, gamma: float) -> np.ndarray:
+    """The bounds kappa^4 (1-gamma)^i, i = 1..H, on the spectral norms of
+    the blocks M^{i-1} of the constraint set.
+
+    Raises ConfigError naming kappa or gamma unless every bound is a finite
+    number >= 0: a NaN or infinite bound would leave M unconstrained, and
+    gamma > 1 makes the odd bounds negative.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.float64(kappa) ** 4
+        bounds = scale * (1.0 - gamma) ** np.arange(1, H + 1)
+        valid = bool((np.isfinite(bounds) & (bounds >= 0.0)).all())
+    if not valid:
+        raise ConfigError("gamma" if np.isfinite(scale) else "kappa",
+                          f"the bounds kappa^4 (1-gamma)^i must be finite and "
+                          f">= 0, got kappa = {kappa}, gamma = {gamma}")
+    return bounds
 
 
 def _block_norms(M) -> np.ndarray:
@@ -58,33 +79,9 @@ def _block_norms(M) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False).max(axis=-1)
 
 
-@dataclass
-class DacParams:
-    """Disturbance-action weights M = [M^0 ... M^{H-1}], each d_u x d_x.
-
-    Membership in the constraint set requires ||M^{i-1}|| <= kappa^4 (1-gamma)^i.
-    """
-
-    M: np.ndarray  # (H, d_u, d_x)
-
-    @property
-    def H(self) -> int:
-        return self.M.shape[0]
-
-    @staticmethod
-    def zeros(H: int, d_u: int, d_x: int) -> "DacParams":
-        return DacParams(M=np.zeros((H, d_u, d_x)))
-
-    def block_bounds(self, kappa: float, gamma: float) -> np.ndarray:
-        i = np.arange(1, self.H + 1)
-        return kappa**4 * (1.0 - gamma) ** i
-
-    def max_violation(self, kappa: float, gamma: float) -> float:
-        return float(np.max(_block_norms(self.M) - self.block_bounds(kappa, gamma)))
-
-
 def _project_blocks(M, bounds):
-    """Clip the singular values of each block M[i] at bounds[i].
+    """Clip the singular values of each block M[i] at bounds[i], the exact
+    Frobenius projection onto the constraint set.
 
     Returns (projected copy, mask of the clipped blocks, spectral norms of
     the input blocks). A clipped vector block is rescaled to its bound; only
@@ -104,67 +101,14 @@ def _project_blocks(M, bounds):
     return out, over, norms
 
 
-def project_M(params: DacParams, kappa: float, gamma: float) -> DacParams:
-    """Per-block spectral projection: clip singular values at
-    b_i = kappa^4 (1-gamma)^i (exact Frobenius projection onto the ball)."""
-    out, _, _ = _project_blocks(params.M, params.block_bounds(kappa, gamma))
-    return DacParams(M=out)
-
-
-def dac_control(K, params: DacParams, x, w_buffer) -> np.ndarray:
-    """u = K x + sum_{i=1}^H M^{i-1} w_hat_{t-i}.
-
-    w_buffer rows are time ordered, most recent last: w_buffer[-i] = w_hat_{t-i}.
-    """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    w_buffer = np.atleast_2d(np.asarray(w_buffer, dtype=float))
-    H = params.H
-    if len(w_buffer) < H:
-        raise DimensionMismatchError("disturbance buffer", (f">= {H}", K.shape[1]),
-                                     w_buffer.shape)
-    window_desc = w_buffer[:-H - 1:-1]  # rows w_{t-1}, ..., w_{t-H}
-    return K @ np.asarray(x, dtype=float) + np.einsum("hux,hx->u", params.M,
-                                                      window_desc)
-
-
-def estimate_disturbance(A_est, B_est, x_t, u_t, x_next) -> np.ndarray:
+def _estimate_disturbance(A_est, B_est, x_t, u_t, x_next):
     """w_hat_t = x_{t+1} - A~ x_t - B~ u_t.
 
     Grouped as x_next - (A x + B u), mirroring the forward transition's
     arithmetic order so that with exact estimates the only deviation from the
     true w_t is the single rounding of the forward addition.
     """
-    est = LinearSystem(A_est, B_est)
-    return _estimate_disturbance(est.A, est.B, np.asarray(x_t, dtype=float),
-                                 np.asarray(u_t, dtype=float),
-                                 np.asarray(x_next, dtype=float))
-
-
-def _estimate_disturbance(A_est, B_est, x_t, u_t, x_next):
-    """estimate_disturbance on normalised arrays."""
     return x_next - (A_est @ x_t + B_est @ u_t)
-
-
-def surrogate_cost(params: DacParams, A_est, B_est, K, w_window,
-                   cost_fn: CostFunction) -> float:
-    """f_t(M): cost of the H-step counterfactual rolled from the zero state
-    through the estimated dynamics under the recorded disturbance estimates.
-
-    w_window has 2H rows, oldest first: w_window[j] = w_hat_{t-2H+j}. This is
-    the plain step-by-step rollout, the reference for surrogate_gradient.
-    """
-    H = params.H
-    A_est, B_est, K, w_window = _normalize_surrogate_args(A_est, B_est, K,
-                                                          w_window, H)
-
-    def control(s, y):  # DAC control at counterfactual step s
-        return K @ y + sum(params.M[h] @ w_window[s + H - 1 - h]
-                           for h in range(H))
-
-    y = np.zeros(A_est.shape[0])
-    for s in range(H):
-        y = A_est @ y + B_est @ control(s, y) + w_window[s + H]
-    return float(cost_fn.value(y, control(H, y)))
 
 
 def _surrogate_operators(A_est, B_est, K, H):
@@ -200,8 +144,8 @@ def _dac_offsets(M, w_window, gather):
 
 
 def _surrogate_grad(operators, K, w_window, stack, offsets, cost_fn):
-    """Gradient of surrogate_cost through the precomputed operators, given
-    the window stack and offsets of `_dac_offsets`.
+    """Gradient of the surrogate in the shape of M through the precomputed
+    operators, given the window stack and offsets of `_dac_offsets`.
 
     With o_s the DAC offset at counterfactual step s, the terminal state is
     y = sum_s P[s] w_window[s+H] + PB[s] o_s, so the cost's sensitivity to
@@ -223,43 +167,23 @@ def _surrogate_grad(operators, K, w_window, stack, offsets, cost_fn):
     return (g_offsets.T @ stack).reshape(d_u, H, d_x).transpose(1, 0, 2)
 
 
-def surrogate_gradient(params: DacParams, A_est, B_est, K, w_window,
-                       cost_fn: CostFunction) -> np.ndarray:
-    """Exact gradient of surrogate_cost in the shape of M: the adjoint of
-    the affine rollout, through the operators of _surrogate_operators."""
-    A_est, B_est, K, w_window = _normalize_surrogate_args(A_est, B_est, K,
-                                                          w_window, params.H)
-    operators = _surrogate_operators(A_est, B_est, K, params.H)
-    stack, offsets = _dac_offsets(params.M, w_window, operators[2])
-    return _surrogate_grad(operators, K, w_window, stack, offsets, cost_fn)
-
-
-def _normalize_surrogate_args(A_est, B_est, K, w_window, H):
-    est = LinearSystem(A_est, B_est)
-    A_est, B_est = est.A, est.B
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    w_window = np.atleast_2d(np.asarray(w_window, dtype=float))
-    if len(w_window) != 2 * H:
-        raise DimensionMismatchError("disturbance window", (2 * H, A_est.shape[0]),
-                                     w_window.shape)
-    return A_est, B_est, K, w_window
-
-
 @dataclass
 class GpcResult:
-    params: DacParams
+    M: np.ndarray  # (H, d_u, d_x), the DAC weights after the last round
     steps: int
     total_cost: float
     max_constraint_violation: float
-    param_history: Optional[list] = None
     projection_active_rounds: int = 0  # rounds whose projection clipped a block
 
 
 def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
-            H: int, eta: float, T: int, A_est, B_est,
-            record_params: bool = False) -> GpcResult:
+            H: int, eta: float, T: int, A_est, B_est) -> GpcResult:
     """Online loop: play the DAC, observe, estimate the disturbance, take a
     projected gradient step on the surrogate loss.
+
+    M starts at zero and each step is projected onto the blocks' bounds
+    kappa_star^4 (1-gamma_tilde)^i. A bound that is not a finite number >= 0
+    (see `_block_bounds`), or an eta that is not, raises ConfigError.
 
     The last 2H disturbance estimates live in a ring of 4H rows: the estimate
     of slot p is written at rows p and p + 2H, so ring[p+1 : p+1+2H] is the
@@ -277,15 +201,14 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     """
     if H < 1 or T < 0:
         raise ValueError("H must be >= 1 and T >= 0")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ConfigError("eta", f"must be finite and >= 0, got {eta}")
+    bounds = _block_bounds(H, kappa_star, gamma_tilde)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     est = LinearSystem(A_est, B_est)
     A_est, B_est, d_x, d_u = est.A, est.B, est.d_x, est.d_u
-    params = project_M(DacParams.zeros(H, d_u, d_x), kappa_star, gamma_tilde)
-    bounds = params.block_bounds(kappa_star, gamma_tilde)
-    violation = params.max_violation(kappa_star, gamma_tilde)
-    M = params.M
+    M = np.zeros((H, d_u, d_x))
+    violation = float((0.0 - bounds).max())  # that of M = 0
     operators = _surrogate_operators(A_est, B_est, K, H)
     gather = operators[2]
     ring = np.zeros((4 * H, d_x))
@@ -295,7 +218,6 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
     total = 0.0
     max_viol = -math.inf
     active = 0
-    history = [] if record_params else None
     for _ in range(T):
         window = ring[p + 1:p + 1 + 2 * H]
         stack, offsets = _dac_offsets(M, window, gather)
@@ -312,14 +234,12 @@ def gpc_run(plant: BlackBoxPlant, K, kappa_star: float, gamma_tilde: float,
                 norms = _block_norms(M)
             violation = float((norms - bounds).max())
         max_viol = max(max_viol, violation)
-        if record_params:
-            history.append(M.copy())
         p = (p + 1) % (2 * H)
         ring[p] = ring[p + 2 * H] = w_hat
         x = outcome.x_next
-    return GpcResult(params=DacParams(M=M), steps=T, total_cost=total,
+    return GpcResult(M=M, steps=T, total_cost=total,
                      max_constraint_violation=(max_viol if T else 0.0),
-                     param_history=history, projection_active_rounds=active)
+                     projection_active_rounds=active)
 
 
 # -- offline comparator ------------------------------------------------------
@@ -428,7 +348,7 @@ def _dac_gradient(sys: LinearSystem, K, trajectory, costs: CostSpec) -> np.ndarr
 
 @dataclass
 class HindsightResult:
-    params: DacParams
+    M: np.ndarray  # (H, d_u, d_x), the best DAC weights found
     cost: float
     grad_norm: float
     iterations: int
@@ -447,10 +367,12 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
     T-1 steps of one matrix-vector product each (see `_dac_trajectory` and
     `_dac_gradient`; B du_t + w_t is not pre-summed, so the rounding is that
     of a plain step-by-step rollout). w_seq must be (T, d_x) with T >= 1 and
-    x1 (d_x,), else DimensionMismatchError."""
+    x1 (d_x,), else DimensionMismatchError. Bounds that are not finite
+    numbers >= 0 raise ConfigError (see `_block_bounds`)."""
     w_seq, x1 = _comparator_inputs(sys, w_seq, x1)
-    params = DacParams.zeros(H, sys.d_u, sys.d_x)
-    J, trajectory = _rollout_cost(sys, K, params.M, w_seq, costs, x1)
+    bounds = _block_bounds(H, kappa, gamma)
+    M = np.zeros((H, sys.d_u, sys.d_x))
+    J, trajectory = _rollout_cost(sys, K, M, w_seq, costs, x1)
     g = _dac_gradient(sys, K, trajectory, costs)
     step = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
     pg_norm = math.inf
@@ -459,15 +381,15 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
     for it in range(1, iters + 1):
         moved = False
         while step > 1e-18:
-            cand = project_M(DacParams(M=params.M - step * g), kappa, gamma)
-            delta = params.M - cand.M
+            cand = _project_blocks(M - step * g, bounds)[0]
+            delta = M - cand
             decrease = float(np.sum(g * delta))
-            J_cand, cand_trajectory = _rollout_cost(sys, K, cand.M, w_seq,
+            J_cand, cand_trajectory = _rollout_cost(sys, K, cand, w_seq,
                                                     costs, x1)
             if J_cand <= J - 1e-4 * decrease:
                 pg_norm = float(np.linalg.norm(delta)) / step
                 improvement = J - J_cand
-                params, J, trajectory = cand, J_cand, cand_trajectory
+                M, J, trajectory = cand, J_cand, cand_trajectory
                 moved = True
                 break
             step *= 0.5
@@ -479,5 +401,5 @@ def best_dac_in_hindsight(sys: LinearSystem, w_seq, costs: CostSpec, K,
             break
         g = _dac_gradient(sys, K, trajectory, costs)
         step *= 1.5
-    return HindsightResult(params=params, cost=J, grad_norm=pg_norm,
+    return HindsightResult(M=M, cost=J, grad_norm=pg_norm,
                            iterations=it, converged=converged)

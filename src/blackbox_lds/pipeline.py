@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ComparatorUnavailableError, ConfigError, PhaseError,
-                     ProbeScalingError)
+from .errors import ConfigError, PhaseError, ProbeScalingError
 from .lds import PriorBounds, RunLog
 from .nsc import GpcResult, HindsightResult, best_dac_in_hindsight, gpc_run
 from .plant import BlackBoxPlant
@@ -190,14 +189,6 @@ class PipelineReport:
     regret_value: Optional[float] = None
     gpc_result: Optional[GpcResult] = None
     seed: Optional[int] = None
-
-
-def regret(report: PipelineReport) -> float:
-    """Total pipeline cost minus the best-DAC-in-hindsight cost."""
-    if report.comparator is None:
-        raise ComparatorUnavailableError(
-            "regret unavailable outside simulation mode")
-    return report.total_cost - report.comparator.cost
 
 
 def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,

@@ -1,10 +1,12 @@
-"""Reference implementations of the GPC projection, online loop and
-comparator: per-block projection (SVD, and the closed form for vector
-blocks), the step-by-step online loop (history rebuilt by np.vstack, forward
-rollout and reverse accumulation over the horizon), the comparator's forward
-rollout and adjoint pass as plain per-step loops, and the best DAC in
-hindsight that rolls the accepted trajectory out a second time for its
-gradient, against which the paths in blackbox_lds.nsc are checked."""
+"""Reference implementations of the GPC surrogate, projection, online loop
+and comparator: the surrogate cost as a step-by-step rollout and its
+gradient by reverse accumulation over the horizon, per-block projection
+(SVD, and the closed form for vector blocks), the step-by-step online loop
+(history rebuilt by np.vstack), the comparator's forward rollout and adjoint
+pass as plain per-step loops, and the best DAC in hindsight that rolls the
+accepted trajectory out a second time for its gradient, against which the
+paths in blackbox_lds.nsc are checked. `core_surrogate` chains the private
+cores the online loop runs, so tests can call them as the loop does."""
 
 import functools
 import math
@@ -13,7 +15,44 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from blackbox_lds.lds import cost_at
-from blackbox_lds.nsc import DacParams, HindsightResult, _batch_cost, project_M
+from blackbox_lds.nsc import (
+    HindsightResult,
+    _batch_cost,
+    _dac_offsets,
+    _project_blocks,
+    _surrogate_grad,
+    _surrogate_operators,
+)
+
+
+def surrogate_cost(M, A_est, B_est, K, w_window, cost_fn):
+    """f_t(M): cost of the H-step counterfactual rolled from the zero state
+    through the estimated dynamics under the recorded disturbance estimates.
+
+    w_window has 2H rows, oldest first: w_window[j] = w_hat_{t-2H+j}. This is
+    the plain step-by-step rollout, the reference for the surrogate gradient.
+    """
+    H = len(M)
+    A_est, B_est, K, w_window = (np.atleast_2d(np.asarray(a, dtype=float))
+                                 for a in (A_est, B_est, K, w_window))
+
+    def control(s, y):  # DAC control at counterfactual step s
+        return K @ y + sum(M[h] @ w_window[s + H - 1 - h] for h in range(H))
+
+    y = np.zeros(A_est.shape[0])
+    for s in range(H):
+        y = A_est @ y + B_est @ control(s, y) + w_window[s + H]
+    return float(cost_fn.value(y, control(H, y)))
+
+
+def core_surrogate(M, A_est, B_est, K, w_window, cost_fn):
+    """(offsets, gradient) as gpc_run computes them for M and the 2H-row
+    window: _surrogate_operators -> _dac_offsets -> _surrogate_grad.
+    offsets[H] is the DAC offset of the control played now."""
+    operators = _surrogate_operators(A_est, B_est, K, len(M))
+    stack, offsets = _dac_offsets(M, w_window, operators[2])
+    return offsets, _surrogate_grad(operators, K, w_window, stack, offsets,
+                                    cost_fn)
 
 
 def ref_project(M, bounds):
@@ -146,8 +185,9 @@ def ref_dac_cost_and_gradient(sys, K, M, w_seq, costs, x1):
 def ref_best_dac_in_hindsight(sys, w_seq, costs, K, H, kappa, gamma, x1,
                               iters=200, grad_tol=1e-8):
     w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
-    params = DacParams.zeros(H, sys.d_u, sys.d_x)
-    J, g = ref_dac_cost_and_gradient(sys, K, params.M, w_seq, costs, x1)
+    bounds = kappa**4 * (1.0 - gamma) ** np.arange(1, H + 1)
+    M = np.zeros((H, sys.d_u, sys.d_x))
+    J, g = ref_dac_cost_and_gradient(sys, K, M, w_seq, costs, x1)
     step = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
     pg_norm = math.inf
     converged = False
@@ -155,14 +195,14 @@ def ref_best_dac_in_hindsight(sys, w_seq, costs, K, H, kappa, gamma, x1,
     for it in range(1, iters + 1):
         moved = False
         while step > 1e-18:
-            cand = project_M(DacParams(M=params.M - step * g), kappa, gamma)
-            delta = params.M - cand.M
+            cand = _project_blocks(M - step * g, bounds)[0]
+            delta = M - cand
             decrease = float(np.sum(g * delta))
-            J_cand = ref_dac_cost(sys, K, cand.M, w_seq, costs, x1)
+            J_cand = ref_dac_cost(sys, K, cand, w_seq, costs, x1)
             if J_cand <= J - 1e-4 * decrease:
                 pg_norm = float(np.linalg.norm(delta)) / step
                 improvement = J - J_cand
-                params, J = cand, J_cand
+                M, J = cand, J_cand
                 moved = True
                 break
             step *= 0.5
@@ -172,7 +212,7 @@ def ref_best_dac_in_hindsight(sys, w_seq, costs, K, H, kappa, gamma, x1,
         if improvement <= 1e-12 * max(abs(J), 1.0):
             converged = True
             break
-        _, g = ref_dac_cost_and_gradient(sys, K, params.M, w_seq, costs, x1)
+        _, g = ref_dac_cost_and_gradient(sys, K, M, w_seq, costs, x1)
         step *= 1.5
-    return HindsightResult(params=params, cost=J, grad_norm=pg_norm,
+    return HindsightResult(M=M, cost=J, grad_norm=pg_norm,
                            iterations=it, converged=converged)

@@ -91,8 +91,8 @@ class TestPipelineCommand:
     def test_unmeasured_comparator_grad_norm_is_null(self):
         # no accepted step leaves the stationarity measure at inf, which
         # JSON cannot hold
-        from blackbox_lds.nsc import DacParams, HindsightResult
-        result = HindsightResult(params=DacParams.zeros(1, 1, 1), cost=1.0,
+        from blackbox_lds.nsc import HindsightResult
+        result = HindsightResult(M=np.zeros((1, 1, 1)), cost=1.0,
                                  grad_norm=float("inf"), iterations=1,
                                  converged=True)
         fields = cli._comparator_fields(result)

@@ -14,28 +14,29 @@ from blackbox_lds import (
     ZeroDisturbance,
     best_dac_in_hindsight,
     certify_strong_stability,
-    dac_control,
-    estimate_disturbance,
     gpc_run,
-    project_M,
-    surrogate_cost,
-    surrogate_gradient,
+    nsc,
 )
-from blackbox_lds.errors import DimensionMismatchError
+from blackbox_lds.errors import ConfigError, DimensionMismatchError
 from blackbox_lds.nsc import (
-    DacParams,
+    _block_bounds,
+    _block_norms,
     _dac_gradient,
     _dac_trajectory,
+    _estimate_disturbance,
     _project_blocks,
     dac_total_cost,
 )
 from gpc_reference import (
+    core_surrogate,
     ref_best_dac_in_hindsight,
     ref_dac_cost_and_gradient,
     ref_dac_trajectory,
     ref_gpc_run,
     ref_project,
     ref_project_vectors,
+    ref_surrogate_gradient,
+    surrogate_cost,
 )
 
 QUAD = CostFunction.quadratic()
@@ -53,21 +54,47 @@ def _mimo_instance(rng, d_x, d_u):
     return LinearSystem(A, B), K, A_est, B_est
 
 
+@pytest.fixture
+def projected(monkeypatch):
+    """Every M that nsc._project_blocks returns, in call order: gpc_run's
+    M after each round's step."""
+    Ms = []
+    project = nsc._project_blocks
+
+    def spy(M, bounds):
+        out = project(M, bounds)
+        Ms.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(nsc, "_project_blocks", spy)
+    return Ms
+
+
+def _control(K, M, x, recent):
+    """gpc_run's control K x + offsets[H], with the disturbances `recent`
+    (most recent last) as the newest rows of the 2H-row window."""
+    H, d_u, d_x = M.shape
+    window = np.zeros((2 * H, d_x))
+    window[2 * H - len(recent):] = recent
+    offsets, _ = core_surrogate(M, np.zeros((d_x, d_x)), np.zeros((d_x, d_u)),
+                                K, window, QUAD)
+    return K @ x + offsets[H]
+
+
 class TestDacControl:
     def test_zero_params_is_linear_feedback(self):
-        M = DacParams.zeros(2, 1, 1)
-        u = dac_control([[-0.5]], M, [2.0], np.array([[1.0], [1.0]]))
+        u = _control(np.array([[-0.5]]), np.zeros((2, 1, 1)), np.array([2.0]),
+                     np.array([[1.0], [1.0]]))
         assert u[0] == pytest.approx(-1.0)
 
     def test_pure_disturbance_feedthrough(self):
-        M = DacParams(np.array([np.eye(2)]))
-        u = dac_control(np.zeros((2, 2)), M, np.zeros(2),
-                        np.array([[9.0, 9.0], [1.0, 2.0]]))
+        u = _control(np.zeros((2, 2)), np.array([np.eye(2)]), np.zeros(2),
+                     np.array([[9.0, 9.0], [1.0, 2.0]]))
         assert np.allclose(u, [1.0, 2.0])
 
     def test_hand_sum(self):
-        M = DacParams(np.array([[[0.1]], [[0.2]]]))
-        u = dac_control([[-0.5]], M, [2.0], np.array([[1.0], [1.0]]))
+        u = _control(np.array([[-0.5]]), np.array([[[0.1]], [[0.2]]]),
+                     np.array([2.0]), np.array([[1.0], [1.0]]))
         assert u[0] == pytest.approx(-0.7)
 
 
@@ -77,30 +104,38 @@ class TestEstimateDisturbance:
         B = rng.normal(size=(2, 1))
         x, u, w = rng.normal(size=2), rng.normal(size=1), rng.normal(size=2)
         x_next = A @ x + B @ u + w
-        assert np.allclose(estimate_disturbance(A, B, x, u, x_next), w)
+        assert np.allclose(_estimate_disturbance(A, B, x, u, x_next), w)
 
     def test_zero_residual(self):
-        assert np.allclose(
-            estimate_disturbance([[0.5]], [[1.0]], [2.0], [1.0], [2.0]), 0.0)
+        w_hat = _estimate_disturbance(np.array([[0.5]]), np.array([[1.0]]),
+                                      np.array([2.0]), np.array([1.0]),
+                                      np.array([2.0]))
+        assert np.allclose(w_hat, 0.0)
 
     def test_model_mismatch(self):
-        w_hat = estimate_disturbance([[0.4]], [[1.0]], [1.0], [0.0], [0.5])
+        w_hat = _estimate_disturbance(np.array([[0.4]]), np.array([[1.0]]),
+                                      np.array([1.0]), np.array([0.0]),
+                                      np.array([0.5]))
         assert w_hat[0] == pytest.approx(0.1)
 
 
 class TestSurrogate:
+    """The cores gpc_run runs (through core_surrogate) against the
+    step-by-step surrogate_cost of tests/gpc_reference.py."""
+
     def test_zero_window_is_free(self):
-        M = DacParams(np.array([[[0.3]]]))
+        M = np.array([[[0.3]]])
         f = surrogate_cost(M, [[0.5]], [[1.0]], [[-0.2]], np.zeros((2, 1)), QUAD)
         assert f == 0.0
 
     def test_one_step_closed_form(self):
         # Atil = Btil = 0, K = 0, H = 1: f = ||w||^2 + ||M0 w||^2
-        M = DacParams(np.array([[[0.3]]]))
+        M = np.array([[[0.3]]])
         w = np.array([[2.0], [1.5]])
-        f = surrogate_cost(M, [[0.0]], [[0.0]], [[0.0]], w, QUAD)
+        zero = np.zeros((1, 1))
+        f = surrogate_cost(M, zero, zero, zero, w, QUAD)
         assert f == pytest.approx(1.5**2 + (0.3 * 1.5) ** 2)
-        g = surrogate_gradient(M, [[0.0]], [[0.0]], [[0.0]], w, QUAD)
+        _, g = core_surrogate(M, zero, zero, zero, w, QUAD)
         assert g[0, 0, 0] == pytest.approx(2 * 0.3 * 1.5 * 1.5)
 
     def test_matches_direct_simulation_for_stationary_window(self, rng):
@@ -111,8 +146,7 @@ class TestSurrogate:
         K = np.array([[-0.2]])
         H = 6
         w = np.full((2 * H, 1), 0.7)
-        M = DacParams.zeros(H, 1, 1)
-        f = surrogate_cost(M, A, B, K, w, QUAD)
+        f = surrogate_cost(np.zeros((H, 1, 1)), A, B, K, w, QUAD)
         x = np.zeros(1)
         for _ in range(H):
             x = (A + B @ K) @ x + w[0]
@@ -128,60 +162,89 @@ class TestSurrogate:
             B = rng.normal(size=(d_x, d_u))
             K = 0.4 * rng.normal(size=(d_u, d_x))
             w = rng.normal(size=(2 * H, d_x))
-            M = DacParams(0.4 * rng.normal(size=(H, d_u, d_x)))
-            g = surrogate_gradient(M, A, B, K, w, QUAD)
+            M = 0.4 * rng.normal(size=(H, d_u, d_x))
+            _, g = core_surrogate(M, A, B, K, w, QUAD)
             num = np.zeros_like(g)
             h = 1e-6
             for idx in np.ndindex(g.shape):
-                Mp, Mm = M.M.copy(), M.M.copy()
+                Mp, Mm = M.copy(), M.copy()
                 Mp[idx] += h
                 Mm[idx] -= h
-                num[idx] = (surrogate_cost(DacParams(Mp), A, B, K, w, QUAD)
-                            - surrogate_cost(DacParams(Mm), A, B, K, w, QUAD)) / (2 * h)
+                num[idx] = (surrogate_cost(Mp, A, B, K, w, QUAD)
+                            - surrogate_cost(Mm, A, B, K, w, QUAD)) / (2 * h)
             denom = max(np.linalg.norm(num), 1e-9)
             assert np.linalg.norm(g - num) / denom <= 1e-5
 
     def test_convexity_along_segments(self, rng):
+        # f below its chords, and above its tangent planes through the
+        # gradient the loop takes
         A = 0.5 * rng.normal(size=(2, 2))
         B = rng.normal(size=(2, 2))
         K = 0.3 * rng.normal(size=(2, 2))
         H = 3
         w = rng.normal(size=(2 * H, 2))
         for _ in range(100):
-            M1 = DacParams(rng.normal(size=(H, 2, 2)))
-            M2 = DacParams(rng.normal(size=(H, 2, 2)))
+            M1 = rng.normal(size=(H, 2, 2))
+            M2 = rng.normal(size=(H, 2, 2))
             th = float(rng.uniform())
-            mid = DacParams(th * M1.M + (1 - th) * M2.M)
-            f_mid = surrogate_cost(mid, A, B, K, w, QUAD)
-            bound = th * surrogate_cost(M1, A, B, K, w, QUAD) \
-                + (1 - th) * surrogate_cost(M2, A, B, K, w, QUAD)
-            assert f_mid <= bound + 1e-9
+            f1 = surrogate_cost(M1, A, B, K, w, QUAD)
+            f2 = surrogate_cost(M2, A, B, K, w, QUAD)
+            f_mid = surrogate_cost(th * M1 + (1 - th) * M2, A, B, K, w, QUAD)
+            assert f_mid <= th * f1 + (1 - th) * f2 + 1e-9
+            _, g1 = core_surrogate(M1, A, B, K, w, QUAD)
+            assert f2 >= f1 + float(np.sum(g1 * (M2 - M1))) - 1e-9 * max(f1, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d_x=st.integers(1, 4), d_u=st.integers(1, 4), H=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cores_match_step_by_step(self, d_x, d_u, H, seed):
+        # the loop's offsets and gradient against the per-step DAC sum and
+        # the reverse accumulation of ref_surrogate_gradient, d_u > d_x too
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(d_x, d_x))
+        A *= 0.9 / max(max(abs(np.linalg.eigvals(A))), 1e-3)
+        B = rng.normal(size=(d_x, d_u))
+        K = 0.3 * rng.normal(size=(d_u, d_x))
+        M = 0.5 * rng.normal(size=(H, d_u, d_x))
+        w = rng.normal(size=(2 * H, d_x))
+        offsets, g = core_surrogate(M, A, B, K, w, QUAD)
+        now = sum(M[i - 1] @ w[2 * H - i] for i in range(1, H + 1))
+        assert np.allclose(offsets[H], now, rtol=1e-12, atol=1e-12)
+        ref = ref_surrogate_gradient(M, A, B, K, w, QUAD)
+        assert g.shape == ref.shape == M.shape
+        assert np.linalg.norm(g - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+def _project(M, kappa, gamma):
+    """gpc_run's projection of M onto the blocks' bounds for (kappa, gamma)."""
+    return _project_blocks(M, _block_bounds(len(M), kappa, gamma))[0]
 
 
 class TestProjectM:
+    """The per-block projection `_project_blocks` with the bounds of
+    `_block_bounds`, the pair both loops run."""
+
     def test_within_bounds_unchanged(self):
-        M = DacParams(np.array([[[0.1]], [[0.01]]]))
-        out = project_M(M, 1.0, 0.5)
-        assert np.array_equal(out.M, M.M)
+        M = np.array([[[0.1]], [[0.01]]])
+        assert np.array_equal(_project(M, 1.0, 0.5), M)
 
     def test_scalar_clip(self):
-        M = DacParams(np.array([[[3.0]]]))
-        out = project_M(M, 0.5**0.25, 0.0)  # bound kappa^4 (1-gamma)^1 = 0.5
-        assert out.M[0, 0, 0] == pytest.approx(0.5)
+        # bound kappa^4 (1-gamma)^1 = 0.5
+        out = _project(np.array([[[3.0]]]), 0.5**0.25, 0.0)
+        assert out[0, 0, 0] == pytest.approx(0.5)
 
     def test_clips_only_large_singular_values(self):
-        M = DacParams(np.array([np.diag([2.0, 0.1])]))
-        out = project_M(M, 1.0, 0.0)
-        assert np.allclose(np.diag(out.M[0]), [1.0, 0.1])
+        out = _project(np.array([np.diag([2.0, 0.1])]), 1.0, 0.0)
+        assert np.allclose(np.diag(out[0]), [1.0, 0.1])
 
     def test_feasible_after_projection(self, rng):
         for _ in range(20):
             H = int(rng.integers(1, 5))
-            M = DacParams(rng.normal(size=(H, 2, 3)) * 5)
+            M = rng.normal(size=(H, 2, 3)) * 5
             kappa, gamma = 1.2, 0.4
-            out = project_M(M, kappa, gamma)
-            assert out.max_violation(kappa, gamma) <= 1e-12
-
+            out = _project(M, kappa, gamma)
+            bounds = _block_bounds(H, kappa, gamma)
+            assert np.max(_block_norms(out) - bounds) <= 1e-12
     @staticmethod
     def _check_against_reference(M, bounds):
         # matrix and 1x1 blocks: bit-exact against the per-block SVD
@@ -223,16 +286,16 @@ class TestProjectM:
         bounds = np.array([0.5, 0.25, 0.125])  # kappa = 1, gamma = 0.5
         over = self._check_against_reference(M, bounds)
         assert over.tolist() == [False, False, True]
-        out = project_M(DacParams(M), 1.0, 0.5)
-        assert np.array_equal(out.M[:2], M[:2])
-        assert np.linalg.norm(out.M[2], 2) == pytest.approx(0.125, rel=1e-15)
+        out = _project(M, 1.0, 0.5)
+        assert np.array_equal(out[:2], M[:2])
+        assert np.linalg.norm(out[2], 2) == pytest.approx(0.125, rel=1e-15)
 
     def test_single_block(self):
         for value, clipped in ((0.0, False), (0.5, False), (-0.75, True)):
             M = np.array([[[value]]])
             over = self._check_against_reference(M, np.array([0.5]))
             assert over.tolist() == [clipped]
-        assert project_M(DacParams(np.array([[[-0.75]]])), 1.0, 0.5).M[0, 0, 0] == -0.5
+        assert _project(np.array([[[-0.75]]]), 1.0, 0.5)[0, 0, 0] == -0.5
 
     @given(hnp.arrays(np.float64,
                       hnp.array_shapes(min_dims=3, max_dims=3, max_side=5),
@@ -258,11 +321,61 @@ class TestProjectM:
             assert not clipped or norm >= bound * (1 - tol)
 
     def test_max_violation_matches_per_block_norms(self, rng):
+        # the violation gpc_run reports, against per-block spectral norms
         for _ in range(20):
-            M = DacParams(rng.normal(size=(4, 2, 3)))
-            bounds = M.block_bounds(1.1, 0.2)
-            expected = max(np.linalg.norm(M.M[i], 2) - bounds[i] for i in range(4))
-            assert M.max_violation(1.1, 0.2) == expected
+            M = rng.normal(size=(4, 2, 3))
+            bounds = _block_bounds(4, 1.1, 0.2)
+            expected = max(np.linalg.norm(M[i], 2) - bounds[i] for i in range(4))
+            assert float((_block_norms(M) - bounds).max()) == expected
+
+
+class TestConstraintConstants:
+    """kappa and gamma must give block bounds that are finite numbers >= 0,
+    and eta must be finite and >= 0: anything else is refused by name before
+    a round is played, instead of running the loops unconstrained."""
+
+    BAD = [(math.nan, 0.3, "kappa"), (math.inf, 0.3, "kappa"),
+           (1e100, 0.3, "kappa"), (2.0, math.nan, "gamma"),
+           (2.0, 1.5, "gamma"), (2.0, -math.inf, "gamma")]
+    SYS = LinearSystem([[0.6]], [[1.0]])
+
+    def _plant(self):
+        return BlackBoxPlant(self.SYS, SinusoidalDisturbance(1), QUAD, [0.0])
+
+    @pytest.mark.parametrize("kappa, gamma, name", BAD)
+    def test_gpc_run_refuses_bounds(self, kappa, gamma, name):
+        plant = self._plant()
+        with pytest.raises(ConfigError) as err:
+            gpc_run(plant, [[-0.3]], kappa, gamma, 3, 0.5, 50,
+                    self.SYS.A, self.SYS.B)
+        assert err.value.path == name
+        assert plant.t == 1  # no round played
+
+    @pytest.mark.parametrize("kappa, gamma, name", BAD)
+    def test_comparator_refuses_bounds(self, kappa, gamma, name):
+        with pytest.raises(ConfigError) as err:
+            best_dac_in_hindsight(self.SYS, np.full((50, 1), 0.5), QUAD,
+                                  [[-0.3]], 3, kappa, gamma, [0.0])
+        assert err.value.path == name
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -0.1])
+    def test_gpc_run_refuses_eta(self, eta):
+        plant = self._plant()
+        with pytest.raises(ConfigError) as err:
+            gpc_run(plant, [[-0.3]], 2.0, 0.3, 3, eta, 50,
+                    self.SYS.A, self.SYS.B)
+        assert err.value.path == "eta"
+        assert plant.t == 1
+
+    def test_edge_bounds_accepted(self):
+        # gamma = 1 pins every block at zero; gamma = 0 gives kappa^4 each
+        assert np.array_equal(_block_bounds(3, 2.0, 1.0), np.zeros(3))
+        assert np.array_equal(_block_bounds(2, 2.0, 0.0), [16.0, 16.0])
+        plant = self._plant()
+        res = gpc_run(plant, [[-0.3]], 2.0, 1.0, 3, 0.5, 20,
+                      self.SYS.A, self.SYS.B)
+        assert np.all(res.M == 0.0)
+        assert res.max_constraint_violation == 0.0
 
 
 class TestGpcRun:
@@ -272,7 +385,7 @@ class TestGpcRun:
         res = gpc_run(plant, [[-0.2]], 4.0, 0.5, 3, 0.05, 60,
                       sys.A, sys.B)
         assert res.total_cost == 0.0
-        assert np.all(res.params.M == 0.0)
+        assert np.all(res.M == 0.0)
         log = plant.log
         assert np.all(log.states() == 0.0)
         assert np.all(log.controls() == 0.0)
@@ -281,7 +394,7 @@ class TestGpcRun:
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, SinusoidalDisturbance(1), QUAD, [0.3])
         res = gpc_run(plant, [[-0.2]], 4.0, 0.5, 3, 0.0, 40, sys.A, sys.B)
-        assert np.all(res.params.M == 0.0)
+        assert np.all(res.M == 0.0)
         # equals the plain feedback simulation
         x = np.array([0.3])
         dist = SinusoidalDisturbance(1)
@@ -292,14 +405,15 @@ class TestGpcRun:
             x = sys.A @ x + sys.B @ u + dist(t, x)
         assert res.total_cost == pytest.approx(expected)
 
-    def test_feasibility_every_step(self, rng):
+    def test_feasibility_every_step(self, rng, projected):
         sys = LinearSystem([[0.6]], [[1.0]])
         plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.5), QUAD, [0.0])
         res = gpc_run(plant, [[-0.3]], 2.0, 0.3, 4, 0.05, 200,
-                      sys.A, sys.B, record_params=True)
+                      sys.A, sys.B)
         kappa, gamma = 2.0, 0.3
         bounds = kappa**4 * (1 - gamma) ** np.arange(1, 5)
-        for M in res.param_history:
+        assert len(projected) == 200
+        for M in projected:
             norms = [np.linalg.norm(M[i], 2) for i in range(4)]
             assert np.all(np.array(norms) <= bounds + 1e-12)
         assert res.max_constraint_violation <= 1e-12
@@ -315,7 +429,7 @@ class TestGpcRun:
         log = plant.log
         states = list(log.states()) + [plant.state]
         for i, (u, w) in enumerate(zip(log.controls(), log.disturbances())):
-            w_hat = estimate_disturbance(sys.A, sys.B, states[i], u, states[i + 1])
+            w_hat = _estimate_disturbance(sys.A, sys.B, states[i], u, states[i + 1])
             assert np.array_equal(w_hat, w)
 
     def test_exact_model_disturbance_within_rounding(self):
@@ -328,13 +442,13 @@ class TestGpcRun:
         log = plant.log
         states = list(log.states()) + [plant.state]
         for i, (u, w) in enumerate(zip(log.controls(), log.disturbances())):
-            w_hat = estimate_disturbance(sys.A, sys.B, states[i], u, states[i + 1])
+            w_hat = _estimate_disturbance(sys.A, sys.B, states[i], u, states[i + 1])
             scale = max(np.abs(states[i + 1]).max(), 1.0)
             assert np.abs(w_hat - w).max() <= 4 * np.finfo(float).eps * scale
 
 
     @pytest.mark.parametrize("H", [1, 2, 7])
-    def test_matches_reference_loop(self, rng, H):
+    def test_matches_reference_loop(self, rng, H, projected):
         # random MIMO plants with model mismatch and bounds tight enough that
         # the projection is active in some rounds and not in others
         T = 150
@@ -348,13 +462,14 @@ class TestGpcRun:
                 return BlackBoxPlant(sys, SinusoidalDisturbance(d_x, omega=0.3),
                                      QUAD, x1, seed=0)
 
-            res = gpc_run(plant(), K, kappa, gamma, H, eta, T, A_est, B_est,
-                          record_params=True)
+            projected.clear()
+            res = gpc_run(plant(), K, kappa, gamma, H, eta, T, A_est, B_est)
             total, history, active = ref_gpc_run(plant(), K, kappa, gamma, H,
                                                   eta, T, A_est, B_est)
             assert res.total_cost == pytest.approx(total, rel=1e-12, abs=0.0)
-            assert len(res.param_history) == T
-            for M_new, M_ref in zip(res.param_history, history):
+            assert len(projected) == T
+            assert np.array_equal(res.M, projected[-1])
+            for M_new, M_ref in zip(projected, history):
                 assert np.linalg.norm(M_new - M_ref) <= 1e-12 * np.linalg.norm(M_ref)
             assert res.projection_active_rounds == active
             checked_active += 0 < active < T
@@ -472,7 +587,7 @@ class TestBestDacInHindsight:
 
 
 def _assert_same_hindsight(new, ref):
-    assert np.array_equal(new.params.M, ref.params.M)
+    assert np.array_equal(new.M, ref.M)
     assert new.cost == ref.cost
     assert new.grad_norm == ref.grad_norm
     assert new.iterations == ref.iterations
