@@ -45,4 +45,26 @@ from .lowerbound import (
     sample_gaussian_system,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the reviewed public surface, by phase; submodules stay importable by name
+# (blackbox_lds.stabilize) but are not star-exported
+__all__ = [
+    # systems, disturbances, costs and certificates
+    "ClippedGaussianDisturbance", "CostFunction", "DisturbanceSource",
+    "LinearSystem", "PriorBounds", "ReplayDisturbance", "RunLog",
+    "SignAdversarialDisturbance", "SinusoidalDisturbance",
+    "StabilityCertificate", "ZeroDisturbance", "certify_strong_stability",
+    "controllability_matrix", "min_energy_controls", "step",
+    "strong_controllability_check",
+    "BlackBoxPlant", "simulate",
+    # phase 1: identification
+    "EstimateBundle", "ProbePlan", "adv_sys_id", "epsilon_zero", "probe_plan",
+    # phase 2: controller recovery and decay
+    "SdpBlockMatrix", "controller_recovery", "decay", "extract_controller",
+    "project_affine", "project_psd_trace", "sdp_feasibility",
+    # phase 3: online control and its comparator
+    "best_dac_in_hindsight", "gpc_run",
+    "PhaseConstants", "PipelineReport", "derive_constants", "run_pipeline",
+    # lower bounds
+    "AdversaryTranscript", "SubspaceTracker", "deterministic_adversary",
+    "randomized_lb_trial", "sample_gaussian_system",
+]

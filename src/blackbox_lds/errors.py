@@ -41,9 +41,18 @@ class ProbeScalingError(BlackBoxControlError):
 
 
 class SdpInfeasibleError(BlackBoxControlError):
-    """Feasibility solver did not reach the requested residual."""
+    """Phase 2 rejected the estimates; reason names the rule that did:
 
-    def __init__(self, message, residual=None, iterations=None):
+    - "certificate": a dual (Farkas) certificate proves the SDP infeasible;
+    - "plateau": the solver's violation stopped shrinking far from zero;
+    - "cap": the solver ran out of iterations;
+    - "rank": the affine constraint operator or Sigma_xx is numerically
+      rank deficient;
+    - "witness": the recovered witness does not contract.
+    """
+
+    def __init__(self, message, *, reason, residual=None, iterations=None):
+        self.reason = reason
         self.residual = residual
         self.iterations = iterations
         super().__init__(message)

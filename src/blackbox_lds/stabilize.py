@@ -7,8 +7,12 @@ Feasibility SDP (steady-state covariance relaxation):
 
 solved by Dykstra's alternating projections; both projections are closed
 form, which is all a "minimize 0" feasibility problem needs at desk
-dimensions; an iteration (one eigh, an affine projection with index-array
-svec/smat, one eigvalsh) takes ~0.3 ms at d_x = 20, d_u = 5 on 2 x86 cores.
+dimensions; an iteration (one eigh, an affine projection with flat-index
+svec/smat, one eigvalsh) takes ~0.18 ms at d_x = 20, d_u = 5 and ~60-100 us
+at d_x = 8-15 (one BLAS thread on 2 x86 cores). The solver exits feasible,
+or infeasible by a dual certificate (checked at iterations 1, 2, 4, ...,
+one more eigvalsh each), by a plateau of the violation, or at the iteration
+cap; see sdp_feasibility.
 K_hat = Sigma_xu' Sigma_xx^{-1} then runs until the probing-phase state decays.
 """
 
@@ -123,14 +127,17 @@ def _project_spectrum(w: np.ndarray, nu: float) -> np.ndarray:
     return np.maximum(w - theta, 0.0)
 
 
+def _project_psd_trace_sym(S, nu: float) -> np.ndarray:
+    """project_psd_trace for an S that is already exactly symmetric."""
+    w, U = np.linalg.eigh(S)
+    return _symmetrize((U * _project_spectrum(w, nu)) @ U.T)
+
+
 def project_psd_trace(S, nu: float) -> np.ndarray:
     """Exact Frobenius projection onto {Sigma PSD, Tr(Sigma) <= nu}."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    S = _symmetrize(S)
-    w, U = np.linalg.eigh(S)
-    w = _project_spectrum(w, nu)
-    return _symmetrize((U * w) @ U.T)
+    return _project_psd_trace_sym(_symmetrize(S), nu)
 
 
 def _affine_map(G, S):
@@ -150,43 +157,59 @@ class AffineProjector:
 
     The correction is Sigma - F*(Lambda) with P svec(Lambda) = svec(F(Sigma) - I)
     and P = svec F F* smat; svec/smat map to and from orthonormal coordinates
-    on Sym(d_x) by index arrays. P is singular iff F* vanishes on a symmetric
-    Lambda != 0 (A orthogonal and B = 0, say), and that is rejected.
+    on Sym(d_x) by flat index arrays. P is singular iff F* vanishes on a
+    symmetric Lambda != 0 (A orthogonal and B = 0, say), and that is rejected.
     """
 
     def __init__(self, A_hat, B_hat):
         estimates = LinearSystem(A_hat, B_hat)
         self.d_x, self.d_u = estimates.d_x, estimates.d_u
         self.G = np.hstack([estimates.A, estimates.B])
-        self._upper = np.triu_indices(self.d_x, 1)
-        self._eye = np.eye(self.d_x)
-        m = self.d_x * (self.d_x + 1) // 2
+        d, n = self.d_x, self.d_x + self.d_u
+        rows, cols = np.triu_indices(d, 1)
+        # flat positions in a d_x x d_x matrix: diagonal, upper and lower triangle
+        self._diag = np.arange(d) * (d + 1)
+        self._up = rows * d + cols
+        self._lo = cols * d + rows
+        self._eye = np.eye(d)
+        # [Lambda 0; 0 0]: only the Lambda block is ever written
+        self._pad = np.zeros((n, n))
+        # rounding bound of the dual certificate, per unit ||Lambda||_F
+        self._cert_tol = 32.0 * n * np.finfo(float).eps
+        self._gram = 1.0 + float(np.sum(self.G * self.G))
+        m = d * (d + 1) // 2
         P = np.column_stack([
             self.svec(_affine_map(self.G, self._F_adjoint(self.smat(e))))
             for e in np.eye(m)])
         cond = np.linalg.cond(P)
         if not np.isfinite(cond) or cond > 1e14:
-            raise SdpInfeasibleError("affine constraint operator is rank deficient")
+            raise SdpInfeasibleError("affine constraint operator is rank deficient",
+                                     reason="rank")
         self._P = P
         self._P_factor = np.linalg.inv(P)
 
     def svec(self, R) -> np.ndarray:
         """[diag(R), (R_ij + R_ji)/sqrt(2) for i < j in row-major order]."""
-        up, lo = self._upper, self._upper[::-1]
-        return np.concatenate((R.diagonal(), _INV_SQRT2 * R[up] + _INV_SQRT2 * R[lo]))
+        f = np.ravel(R)
+        return np.concatenate((f[self._diag],
+                               _INV_SQRT2 * f[self._up] + _INV_SQRT2 * f[self._lo]))
 
     def smat(self, v) -> np.ndarray:
         """Adjoint of svec, and its inverse on Sym(d_x)."""
-        out = np.empty((self.d_x, self.d_x))
-        np.fill_diagonal(out, v[: self.d_x])
-        out[self._upper] = out[self._upper[::-1]] = _INV_SQRT2 * v[self.d_x:]
-        return out
+        out = np.empty(self.d_x * self.d_x)
+        out[self._diag] = v[: self.d_x]
+        out[self._up] = out[self._lo] = _INV_SQRT2 * v[self.d_x:]
+        return out.reshape(self.d_x, self.d_x)
 
     def _F_adjoint(self, Lam):
-        out = np.zeros((self.d_x + self.d_u,) * 2)
-        out[: self.d_x, : self.d_x] = Lam
-        out -= self.G.T @ Lam @ self.G
-        return out
+        """F*(Lambda) = [Lambda 0; 0 0] - G' Lambda G."""
+        self._pad[: self.d_x, : self.d_x] = Lam
+        return self._pad - self.G.T @ Lam @ self.G
+
+    def _multiplier(self, S):
+        """Lambda such that S - F*(Lambda) is the projection of S, for an S
+        that is already exactly symmetric."""
+        return self.smat(self._P_factor @ self.svec(_affine_map(self.G, S) - self._eye))
 
     def residual(self, S) -> float:
         """||Sigma_xx - G Sigma G' - I||_F."""
@@ -194,8 +217,24 @@ class AffineProjector:
 
     def project(self, S) -> np.ndarray:
         S = _symmetrize(S)
-        lam = self._P_factor @ self.svec(_affine_map(self.G, S) - self._eye)
-        return _symmetrize(S - self._F_adjoint(self.smat(lam)))
+        return _symmetrize(S - self._F_adjoint(self._multiplier(S)))
+
+    def certificate_margin(self, Lam, F_adj, nu: float) -> float:
+        """How far the symmetric Lambda' = -Lambda proves the SDP infeasible;
+        F_adj is F*(Lambda) as computed. A positive margin is a proof.
+
+        Every feasible Sigma (PSD, Tr <= nu, F(Sigma) = I) gives
+        tr(Lambda') = <Lambda', F(Sigma)> = <F*(Lambda'), Sigma>
+                    <= nu max(lambda_max(F*(Lambda')), 0),
+        so tr(Lambda') exceeding the right side rules every Sigma out. The
+        margin subtracts delta = 32 n eps (nu (1 + ||G||_F^2) + n) ||Lambda||_F,
+        which bounds the rounding of the two products in F*, of eigvalsh
+        (backward stable, reading one triangle) and of the trace.
+        """
+        lam_max = -float(np.linalg.eigvalsh(F_adj)[0])  # of F*(-Lambda)
+        delta = self._cert_tol * (nu * self._gram + self.d_x + self.d_u) \
+            * float(np.linalg.norm(Lam))
+        return -float(Lam.trace()) - nu * max(lam_max, 0.0) - delta
 
 
 def project_affine(S, A_hat, B_hat) -> np.ndarray:
@@ -208,11 +247,20 @@ def sdp_feasibility(A_hat, B_hat, nu: float, on_iteration=None) -> SdpBlockMatri
     """Dykstra's alternating projections onto {PSD, Tr <= nu} and the affine
     steady-state constraint, from the centered initializer (nu/n) I.
 
-    Returns the affine-feasible iterate once its PSD and trace violations are
-    within DEFAULT_TOL. Raises SdpInfeasibleError when DEFAULT_MAX_ITERS
-    iterations are exhausted or the violation plateaus well above DEFAULT_TOL
-    (the scalar instance A_hat=2, B_hat=0 plateaus immediately:
-    Sigma_xx = 4 Sigma_xx + 1 forces Sigma_xx < 0).
+    Exits:
+    - feasible: returns the affine-feasible iterate once its PSD and trace
+      violations are within DEFAULT_TOL;
+    - certificate: at iterations 1, 2, 4, 8, ... the affine step's
+      multiplier Lambda is checked as a dual (Farkas) certificate, and a
+      proof of infeasibility raises SdpInfeasibleError(reason="certificate")
+      (A_hat=2, B_hat=0 is proved at iteration 1: Sigma_xx = 4 Sigma_xx + 1
+      forces Sigma_xx < 0);
+    - plateau: every 1000 iterations from 2000 on, a violation above
+      sqrt(DEFAULT_TOL) that shrank by less than 0.1 % since the last check
+      raises reason="plateau" (a heuristic: it can reject a feasible pair);
+    - cap: DEFAULT_MAX_ITERS iterations exhausted raises reason="cap".
+    An estimate whose affine operator is rank deficient is rejected before
+    the first iteration with reason="rank".
     on_iteration(it, violation), when given, observes the per-iteration
     constraint violation of the affine-feasible iterate. An iteration costs
     O((d_x + d_u)^3 + d_x^4) flops, d_x^4 for the normal-equation matvec.
@@ -226,30 +274,42 @@ def sdp_feasibility(A_hat, B_hat, nu: float, on_iteration=None) -> SdpBlockMatri
     best = math.inf
     last_check = math.inf
     for it in range(1, DEFAULT_MAX_ITERS + 1):
-        y = project_psd_trace(x + p, nu)
-        p = x + p - y
-        x = proj.project(y)
+        # every iterate is exactly symmetric: x and y leave _symmetrize, and
+        # sums and differences of symmetric matrices stay symmetric
+        s = x + p
+        y = _project_psd_trace_sym(s, nu)
+        p = s - y
+        Lam = proj._multiplier(y)
+        F_adj = proj._F_adjoint(Lam)
+        x = _symmetrize(y - F_adj)
         eigs = np.linalg.eigvalsh(x)
         psd_viol = max(0.0, -float(eigs[0]))
-        trace_viol = max(0.0, float(np.trace(x)) - nu)
+        trace_viol = max(0.0, float(x.trace()) - nu)
         viol = max(psd_viol, trace_viol)
         best = min(best, viol)
         if on_iteration is not None:
             on_iteration(it, viol)
         if viol <= DEFAULT_TOL:
             return SdpBlockMatrix(sigma=x, d_x=proj.d_x, d_u=proj.d_u)
+        if it & (it - 1) == 0:
+            margin = proj.certificate_margin(Lam, F_adj, nu)
+            if margin > 0.0:
+                raise SdpInfeasibleError(
+                    f"SDP infeasible: the dual certificate of iteration {it} "
+                    f"holds with margin {margin:.3g} (eps too large or nu too small)",
+                    reason="certificate", residual=viol, iterations=it)
         if it % 1000 == 0:
             # plateau far from feasibility => the two sets do not intersect
             if viol > math.sqrt(DEFAULT_TOL) and viol > 0.999 * last_check:
                 raise SdpInfeasibleError(
                     f"SDP infeasible or ill-conditioned: violation {viol:.3g} "
                     f"plateaued after {it} iterations (eps too large or nu too small)",
-                    residual=viol, iterations=it)
+                    reason="plateau", residual=viol, iterations=it)
             last_check = viol
     raise SdpInfeasibleError(
         f"SDP infeasible or ill-conditioned: violation {best:.3g} "
         f"after {DEFAULT_MAX_ITERS} iterations (eps too large or nu too small)",
-        residual=best, iterations=DEFAULT_MAX_ITERS)
+        reason="cap", residual=best, iterations=DEFAULT_MAX_ITERS)
 
 
 def extract_controller(sigma: SdpBlockMatrix) -> np.ndarray:
@@ -258,7 +318,7 @@ def extract_controller(sigma: SdpBlockMatrix) -> np.ndarray:
     svals = np.linalg.svd(sigma.xx, compute_uv=False)
     if svals[-1] < 1e-9:
         raise SdpInfeasibleError(
-            "Sigma_xx numerically singular: upstream solver failure")
+            "Sigma_xx numerically singular: upstream solver failure", reason="rank")
     return np.linalg.solve(sigma.xx, sigma.xu).T
 
 
@@ -321,7 +381,7 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
     if norm_L > bound + max(10.0 * DEFAULT_TOL, 1e-8):
         raise SdpInfeasibleError(
             f"recovered witness not contracting: ||L|| = {norm_L:.12g} "
-            f"exceeds {bound:.12g}", residual=norm_L - bound)
+            f"exceeds {bound:.12g}", reason="witness", residual=norm_L - bound)
     return RecoveryResult(K=K, kappa_tilde=constants.kappa_tilde,
                           gamma_tilde=constants.gamma_tilde, constants=constants,
                           sigma=sigma, H=H, L=L, norm_L=norm_L,

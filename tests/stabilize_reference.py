@@ -62,7 +62,8 @@ class RefAffineProjector:
                 P[a, b] = float(np.sum(Ea * FFstar))
         cond = np.linalg.cond(P)
         if not np.isfinite(cond) or cond > 1e14:
-            raise SdpInfeasibleError("affine constraint operator is rank deficient")
+            raise SdpInfeasibleError("affine constraint operator is rank deficient",
+                                     reason="rank")
         self._P = P
         self._P_factor = np.linalg.inv(P)
 
@@ -131,9 +132,9 @@ def ref_sdp_feasibility(A_hat, B_hat, nu, tol=DEFAULT_TOL,
                 raise SdpInfeasibleError(
                     f"SDP infeasible or ill-conditioned: violation {viol:.3g} "
                     f"plateaued after {it} iterations (eps too large or nu too small)",
-                    residual=viol, iterations=it)
+                    reason="plateau", residual=viol, iterations=it)
             last_check = viol
     raise SdpInfeasibleError(
         f"SDP infeasible or ill-conditioned: violation {best:.3g} "
         f"after {max_iters} iterations (eps too large or nu too small)",
-        residual=best, iterations=max_iters)
+        reason="cap", residual=best, iterations=max_iters)

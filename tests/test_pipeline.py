@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -28,11 +29,11 @@ WORST_CASE = {"eps": 1e-3, "kappa_tilde": 1.0, "gamma_tilde": 0.5}
 
 
 def test_public_surface():
-    # what `from blackbox_lds import *` gives: the names __init__ imports
-    # and the submodules loaded by then; a re-added export has to change
-    # this list
+    # what `from blackbox_lds import *` gives: the reviewed __all__, which
+    # names every function and class __init__ imports and no submodule; a
+    # re-added export has to change this list
     import blackbox_lds
-    assert blackbox_lds.__all__ == [
+    names = [
         "AdversaryTranscript", "BlackBoxPlant", "ClippedGaussianDisturbance",
         "CostFunction", "DisturbanceSource", "EstimateBundle", "LinearSystem",
         "PhaseConstants", "PipelineReport", "PriorBounds", "ProbePlan",
@@ -42,13 +43,19 @@ def test_public_surface():
         "adv_sys_id", "best_dac_in_hindsight", "certify_strong_stability",
         "controllability_matrix", "controller_recovery", "decay",
         "derive_constants", "deterministic_adversary", "epsilon_zero",
-        "errors", "extract_controller", "gpc_run", "lds", "lowerbound",
-        "min_energy_controls", "nsc", "pipeline", "plant", "probe_plan",
+        "extract_controller", "gpc_run", "min_energy_controls", "probe_plan",
         "project_affine", "project_psd_trace", "randomized_lb_trial",
         "run_pipeline", "sample_gaussian_system", "sdp_feasibility",
-        "simulate", "stabilize", "step", "strong_controllability_check",
-        "sysid",
+        "simulate", "step", "strong_controllability_check",
     ]
+    assert sorted(blackbox_lds.__all__) == names
+    # nothing else public is imported into the package namespace
+    imported = {name for name in dir(blackbox_lds) if not name.startswith("_")
+                and not isinstance(getattr(blackbox_lds, name), types.ModuleType)}
+    assert imported == set(names)
+    star = {}
+    exec("from blackbox_lds import *", star)
+    assert sorted(k for k in star if k != "__builtins__") == names
 
 
 class TestDeriveConstants:

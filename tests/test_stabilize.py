@@ -1,4 +1,6 @@
 import math
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from blackbox_lds import (
     project_psd_trace,
     sdp_feasibility,
 )
+from blackbox_lds import stabilize
 from blackbox_lds.errors import ConfigError, NotStabilizingError, SdpInfeasibleError
 from blackbox_lds.stabilize import AffineProjector, RecoveryConstants, decay_horizon
 from conftest import random_certified_pair
@@ -159,8 +162,9 @@ class TestSvecSmat:
         # F*(I) = 0 when A is orthogonal and B = 0
         Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
         for cls in (AffineProjector, RefAffineProjector):
-            with pytest.raises(SdpInfeasibleError, match="rank deficient"):
+            with pytest.raises(SdpInfeasibleError, match="rank deficient") as err:
                 cls(Q, np.zeros((3, 1)))
+            assert err.value.reason == "rank"
 
 
 class TestAgainstReference:
@@ -203,15 +207,140 @@ class TestAgainstReference:
         assert sum(n > 1000 for n in lengths) >= 3
 
     def test_infeasible_pair(self):
-        errors = []
-        for solve in (sdp_feasibility, ref_sdp_feasibility):
-            with pytest.raises(SdpInfeasibleError) as err:
-                solve([[2.0]], [[0.0]], 5.0)
-            errors.append(err.value)
-        new, ref = errors
-        assert new.iterations == ref.iterations
-        assert new.residual == ref.residual
-        assert str(new) == str(ref)
+        # the certificate proves A=2, B=0 infeasible at once, on the same
+        # iterates; the reference, which has no certificate, plateaus at 2000
+        seen, seen_ref = [], []
+        with pytest.raises(SdpInfeasibleError) as err:
+            sdp_feasibility([[2.0]], [[0.0]], 5.0,
+                            on_iteration=lambda it, v: seen.append((it, v)))
+        with pytest.raises(SdpInfeasibleError) as ref:
+            ref_sdp_feasibility([[2.0]], [[0.0]], 5.0,
+                                on_iteration=lambda it, v: seen_ref.append((it, v)))
+        assert err.value.reason == "certificate"
+        assert err.value.iterations == len(seen) <= 2
+        assert seen == seen_ref[: len(seen)]
+        assert ref.value.reason == "plateau"
+        assert ref.value.iterations == len(seen_ref) == 2000
+
+
+class TestDualCertificate:
+    """sdp_feasibility's Farkas certificate: sound on every feasible pair,
+    and quick on pairs that no input can stabilize."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e3]),
+           st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_never_fires_on_a_feasible_pair(self, seed, b_scale, e_lam):
+        g = np.random.default_rng(seed)
+        sys, K, cert = random_certified_pair(g)
+        # (A, b B) with K / b has the same closed loop and a smaller ||K||,
+        # so nu = 2 kappa^4 d_x / gamma still admits its covariance
+        A, B = sys.A, b_scale * sys.B
+        nu = 2.0 * cert.kappa**4 * sys.d_x / cert.gamma
+        proj = AffineProjector(A, B)
+        n = proj.d_x + proj.d_u
+        # no symmetric Lambda whatever proves a feasible SDP infeasible
+        for _ in range(20):
+            Lam = _sym(g, proj.d_x, 10.0**e_lam)
+            for L in (Lam, -Lam):
+                assert proj.certificate_margin(L, proj._F_adjoint(L), nu) <= 0.0
+        # nor does the multiplier of any point of {PSD, Tr <= nu}
+        for _ in range(20):
+            y = project_psd_trace(_sym(g, n, 10.0**e_lam), nu)
+            Lam = proj._multiplier(y)
+            assert proj.certificate_margin(Lam, proj._F_adjoint(Lam), nu) <= 0.0
+        # and the solver, capped so that ill-conditioned draws end quickly,
+        # keeps the reference's iterates and never cites the certificate
+        runs = []
+        with mock.patch.object(stabilize, "DEFAULT_MAX_ITERS", 3000):
+            for solve in (sdp_feasibility, partial(ref_sdp_feasibility,
+                                                   max_iters=3000)):
+                seen = []
+                try:
+                    end = [solve(A, B, nu, on_iteration=lambda it, v:
+                                 seen.append((it, v))).sigma]
+                except SdpInfeasibleError as exc:
+                    assert exc.reason in ("plateau", "cap")
+                    end = [exc.reason, exc.iterations, exc.residual]
+                runs.append((seen, end))
+        (seen, end), (seen_ref, end_ref) = runs
+        assert seen == seen_ref
+        assert all(np.array_equal(a, b) for a, b in zip(end, end_ref))
+
+    @given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 2**32 - 1),
+           st.floats(1.0, 3.0, exclude_min=True), st.floats(-1.0, 6.0))
+    @settings(max_examples=100, deadline=None)
+    def test_rejects_an_unstable_pair_without_input(self, d_x, d_u, seed, rho,
+                                                    e_nu):
+        # B = 0 leaves Sigma_xx = A Sigma_xx A' + I, which has no PSD
+        # solution once rho(A) > 1, whatever nu is
+        g = np.random.default_rng(seed)
+        A = g.normal(size=(d_x, d_x))
+        A *= rho / max(abs(np.linalg.eigvals(A)))
+        with pytest.raises(SdpInfeasibleError) as err:
+            sdp_feasibility(A, np.zeros((d_x, d_u)), 10.0**e_nu)
+        if err.value.reason == "rank":
+            # eigenvalue pairs with lambda_i lambda_j near 1 make P singular:
+            # the projector refuses them before any iteration
+            assert err.value.iterations is None and d_x > 1 and rho < 1.01
+        else:
+            # proved before the plateau rule's first check at iteration 2000
+            assert err.value.reason == "certificate"
+            assert err.value.iterations <= 1024
+
+    @pytest.mark.parametrize("nu", [5.0, 1e3, 1e6])
+    def test_rejects_an_unstable_mode_the_input_cannot_reach(self, nu):
+        # x_1 sees neither the input nor x_2: Sigma_11 = 4 Sigma_11 + 1
+        with pytest.raises(SdpInfeasibleError) as err:
+            sdp_feasibility(np.diag([2.0, 0.5]), [[0.0], [1.0]], nu)
+        assert err.value.reason == "certificate"
+        assert err.value.iterations <= 2
+
+
+class TestRejectionReasons:
+    """Every SdpInfeasibleError names the rule that raised it."""
+
+    def test_certificate(self):
+        with pytest.raises(SdpInfeasibleError) as err:
+            controller_recovery([[2.0]], [[0.0]], 0.0, 3.0, 1 / 18)
+        assert err.value.reason == "certificate"
+        assert err.value.iterations == 1
+
+    def test_plateau(self):
+        # draw 9 is feasible; the plateau heuristic rejects it anyway
+        A, B, nu = list(_unstable_pairs())[9]
+        with pytest.raises(SdpInfeasibleError) as err:
+            sdp_feasibility(A, B, nu)
+        assert err.value.reason == "plateau"
+        assert err.value.iterations == 2000
+
+    def test_cap(self, monkeypatch):
+        # draw 4 needs 2782 iterations
+        A, B, nu = list(_unstable_pairs())[4]
+        monkeypatch.setattr(stabilize, "DEFAULT_MAX_ITERS", 500)
+        with pytest.raises(SdpInfeasibleError) as err:
+            sdp_feasibility(A, B, nu)
+        assert err.value.reason == "cap"
+        assert err.value.iterations == 500
+
+    def test_rank(self):
+        Q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+        with pytest.raises(SdpInfeasibleError) as err:
+            sdp_feasibility(Q, np.zeros((3, 1)), 10.0)
+        assert err.value.reason == "rank"
+        with pytest.raises(SdpInfeasibleError) as err:
+            extract_controller(SdpBlockMatrix(np.diag([1.0, 0.0, 1.0]), 2, 1))
+        assert err.value.reason == "rank"
+
+    def test_witness(self, monkeypatch):
+        # an iterate that is not feasible (K = 3 on A = 1, B = 1) fails the
+        # witness bound ||L|| <= 1 - 1/(2 nu)
+        bad = SdpBlockMatrix(np.array([[1.0, 3.0], [3.0, 10.0]]), 1, 1)
+        monkeypatch.setattr(stabilize, "sdp_feasibility",
+                            lambda *args, **kwargs: bad)
+        with pytest.raises(SdpInfeasibleError) as err:
+            stabilize.controller_recovery([[1.0]], [[1.0]], 0.0, 3.0, 1 / 18)
+        assert err.value.reason == "witness"
 
 
 class TestSdpFeasibility:
