@@ -15,7 +15,9 @@ exit codes:
   0  success
   2  config error (a wrong key, type, shape or range): prints
      {"error": {"kind": "config", "path": ...}} and writes nothing
-  1  runtime or phase error, such as horizon <= T1 or a non-finite output
+  1  runtime or phase error, such as horizon <= T1 or a non-finite output:
+     prints {"error": {"kind": "runtime", "phase": ..., "reason": ...}},
+     reason naming the rule of a phase-2 rejection (else null)
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     NonFiniteValueError,
+    SdpInfeasibleError,
 )
 from .lds import (
     ClippedGaussianDisturbance,
@@ -489,8 +492,8 @@ def _run_recover_experiment(exp):
         "sdp_iterations": result.sdp_iterations,
         "sdp_violation": result.sdp_violation,
         "sdp_affine_residual": result.sdp_affine_residual,
-        "kappa_certified": result.kappa_est,
-        "gamma_certified": result.gamma_est,
+        "kappa_certified": result.witness.kappa,
+        "gamma_certified": result.witness.gamma,
         "closed_loop_spectral_radius": float(max(abs(np.linalg.eigvals(closed)))),
         "total_cost": 0.0,
     }
@@ -645,8 +648,13 @@ def _run(args) -> int:
                                     "message": str(exc)}}, sort_keys=True))
         return 2
     except (BlackBoxControlError, ValueError) as exc:
+        # run_pipeline raises a phase-2 rejection as PhaseError("recover")
+        # from it, so its reason is read from the cause too
+        rejection = exc if isinstance(exc, SdpInfeasibleError) else exc.__cause__
+        reason = rejection.reason if isinstance(rejection, SdpInfeasibleError) else None
         print(json.dumps({"error": {"kind": "runtime",
                                     "phase": getattr(exc, "phase", None),
+                                    "reason": reason,
                                     "message": str(exc)}}, sort_keys=True))
         return 1
     return 0

@@ -26,9 +26,6 @@ from .errors import (
 # Scale-free rank threshold: sigma_min < RANK_RTOL * sigma_max means rank deficient.
 RANK_RTOL = 1e-10
 
-# certify_strong_stability's caps on cond(H) and on the relative residual
-_CERT_COND_CAP, _CERT_RESIDUAL_TOL = 1e8, 1e-8
-
 # The range of the largest |entry| in which sums of squares neither overflow
 # nor underflow past the last digits (also lowerbound's Gram-matrix guard)
 _NORM_SAFE_RANGE = (2.0 ** -400, 2.0 ** 400)
@@ -265,21 +262,23 @@ def cost_at(costs: CostSpec, t: int) -> CostFunction:
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Witness that K is (kappa, gamma) strongly stable: ||K|| <= kappa,
-    A + BK = H L H^{-1} with ||H|| ||H^{-1}|| <= kappa and ||L|| <= 1 - gamma."""
+    A + BK = H L H^{-1} with ||H|| ||H^{-1}|| <= kappa and
+    ||L|| = norm_L = 1 - gamma."""
 
     K: np.ndarray
     kappa: float
-    gamma: float
     H: np.ndarray
     L: np.ndarray
+    norm_L: float
 
-    def closed_loop(self, sys: LinearSystem) -> np.ndarray:
-        return sys.A + sys.B @ self.K
+    @property
+    def gamma(self) -> float:
+        return 1.0 - self.norm_L
 
     def residual(self, sys: LinearSystem) -> float:
         """Reconstruction error ||A + BK - H L H^{-1}||."""
         recon = self.H @ self.L @ np.linalg.inv(self.H)
-        return spectral_norm(self.closed_loop(sys) - recon)
+        return spectral_norm(sys.A + sys.B @ self.K - recon)
 
 
 class _Rows:
@@ -401,40 +400,43 @@ def min_energy_controls(sys: LinearSystem, k: int, x_f) -> np.ndarray:
     return blocks[::-1].copy()
 
 
-def _realify_eigendecomposition(F: np.ndarray):
-    """Real (H, L) with F = H L H^{-1}; conjugate pairs become 2x2
-    rotation-scaling blocks. Assumes the LAPACK convention that conjugate
-    eigenvalues of a real matrix appear adjacently, positive imaginary first.
-    """
-    w, V = np.linalg.eig(F)
-    n = F.shape[0]
-    H = np.zeros((n, n))
-    L = np.zeros((n, n))
-    i = 0
-    while i < n:
-        lam = w[i]
-        if abs(lam.imag) <= 1e-14 * max(1.0, abs(lam)):
-            H[:, i] = V[:, i].real
-            L[i, i] = lam.real
-            i += 1
-            continue
-        if i + 1 >= n or abs(w[i + 1] - np.conj(lam)) > 1e-8 * max(1.0, abs(lam)):
-            raise CertificateError("certificate not found: unpaired complex eigenvalue")
-        a, b = lam.real, lam.imag
-        H[:, i] = V[:, i].real
-        H[:, i + 1] = V[:, i].imag
-        L[i:i + 2, i:i + 2] = np.array([[a, b], [-b, a]])
-        i += 2
-    return H, L
+def _lyapunov(F: np.ndarray) -> np.ndarray:
+    """X = F X F' + I for rho(F) < 1 by Smith doubling (X += P X P', then
+    P = P P, from X = I and P = F) until a doubling leaves X unchanged;
+    CertificateError if X overflows or 64 doublings do not settle it."""
+    X, P = np.eye(len(F)), F
+    for _ in range(64):
+        X_next = X + P @ X @ P.T
+        if np.array_equal(X_next, X) and np.isfinite(X).all():
+            return 0.5 * (X + X.T)
+        X, P = X_next, P @ P
+    raise CertificateError("certificate not found: the Lyapunov sum does not settle")
+
+
+def stability_witness(F, X, K) -> StabilityCertificate:
+    """The witness of the closed loop F = A + BK from an X >= F X F' + I
+    (Cohen et al., 2018): H = X^{1/2} and L = H^{-1} F H, so L L' <= I - X^{-1}
+    and ||L||^2 <= 1 - 1/lambda_max(X), with equality if X = F X F' + I.
+    kappa = max(||K||, cond(H)), where cond(H)^2 = lambda_max(X)/lambda_min(X)."""
+    w, U = np.linalg.eigh(X)
+    w = np.maximum(w, 1e-300)  # an X that rounding left indefinite gets a huge ||L||
+    H = (U * np.sqrt(w)) @ U.T
+    H = 0.5 * (H + H.T)
+    L = (U * (1.0 / np.sqrt(w))) @ U.T @ F @ H
+    kappa = max(spectral_norm(K), math.sqrt(w[-1] / w[0]))
+    return StabilityCertificate(K=K, kappa=kappa, H=H, L=L, norm_L=spectral_norm(L))
 
 
 def certify_strong_stability(sys: LinearSystem, K) -> StabilityCertificate:
-    """Build a strong-stability certificate for K on sys, or raise.
+    """stability_witness of K on sys from X = F X F' + I, F = A + BK, so
+    ||L||^2 = 1 - 1/lambda_max(X).
 
-    The witness is the realified eigendecomposition of A + BK: H holds
-    (paired) eigenvectors, L the block-diagonal rotation-scaling form, so
-    ||L|| equals the spectral radius. kappa = max(||K||, cond(H)),
-    gamma = 1 - ||L||.
+    Every F with rho(F) < 1 has this witness, defective ones included. A
+    normal F gets gamma = 1 - rho(F) and cond(H) <= 1/sqrt(1 - rho^2); any
+    other F a smaller gamma (||L|| >= rho(F)) and a cond(H) that can be far
+    larger: [[0.9, 5], [0, 0.9]] gets gamma = 7.6e-5 and cond(H) = 47.7.
+    CertificateError when rho(F) >= 1, or when the computed ||L|| is not
+    below 1 (a gamma below the rounding of ||L|| near 1).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape != (sys.d_u, sys.d_x):
@@ -443,20 +445,8 @@ def certify_strong_stability(sys: LinearSystem, K) -> StabilityCertificate:
     rho = max(abs(np.linalg.eigvals(F))) if F.size else 0.0
     if rho >= 1.0:
         raise CertificateError(f"unstable closed loop: spectral radius {rho:.6g} >= 1")
-    H, L = _realify_eigendecomposition(F)
-    try:
-        Hinv = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        raise CertificateError("certificate not found: singular eigenvector matrix")
-    cond = spectral_norm(H) * spectral_norm(Hinv)
-    if cond > _CERT_COND_CAP:
+    cert = stability_witness(F, _lyapunov(F), K)
+    if not cert.norm_L < 1.0:
         raise CertificateError(
-            f"certificate not found: eigenvector condition {cond:.3g} above cap")
-    resid = spectral_norm(F - H @ L @ Hinv)
-    if resid > _CERT_RESIDUAL_TOL * max(1.0, spectral_norm(F)):
-        raise CertificateError(
-            f"certificate not found: reconstruction residual {resid:.3g}")
-    norm_L = spectral_norm(L)
-    kappa = max(spectral_norm(K), cond)
-    gamma = 1.0 - norm_L
-    return StabilityCertificate(K=K, kappa=float(kappa), gamma=float(gamma), H=H, L=L)
+            f"certificate not found: the witness has ||L|| = {cert.norm_L:.17g}")
+    return cert

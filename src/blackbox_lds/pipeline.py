@@ -238,8 +238,8 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     kappa_use, gamma_use = cst.kappa_tilde, cst.gamma_tilde
     source = "worst-case"
     if use_certified_stability:
-        kappa_cert = recovery.kappa_est
-        gamma_cert = recovery.gamma_est - 2.0 * cst.eps * recovery.kappa_est**2
+        kappa_cert = recovery.witness.kappa
+        gamma_cert = recovery.witness.gamma - 2.0 * cst.eps * kappa_cert**2
         if gamma_cert <= 0.0:
             raise PhaseError("recover",
                              "certified stability margin nonpositive after the "

@@ -12,6 +12,7 @@ w_t, steps and records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,10 +93,12 @@ class BlackBoxPlant:
     def apply(self, u, phase: str) -> StepOutcome:
         """Commit control u_t, pay c_t(x_t, u_t), advance to x_{t+1}.
 
-        u and w_t are validated once, here, and the transition is lds.step's
-        expression A x + B u + w written inline, so x_{t+1} is bitwise what
-        step returns. The round goes straight into the log, whose row
-        buffers copy x_t, u_t and w_t, so nothing is copied here for it.
+        u, c_t and w_t are validated once, here (a c_t that overflows from a
+        finite x_t and u_t is a NonFiniteValueError), and the transition is
+        lds.step's expression A x + B u + w written inline, so x_{t+1} is
+        bitwise what step returns. The round goes straight into the log,
+        whose row buffers copy x_t, u_t and w_t, so nothing is copied here
+        for it.
         """
         sys, x = self._sys, self._x
         u = np.asarray(u, dtype=float).reshape(-1)
@@ -105,6 +108,8 @@ class BlackBoxPlant:
             raise NonFiniteValueError("control", self._t)
         cost_fn = cost_at(self._costs, self._t)
         c = float(cost_fn.value(x, u))
+        if not math.isfinite(c):
+            raise NonFiniteValueError("cost", self._t)
         w = np.asarray(self._dist(self._t, x.copy()), dtype=float).reshape(-1)
         if w.shape != (sys.d_x,):
             raise DimensionMismatchError("disturbance", (sys.d_x,), w.shape)

@@ -14,6 +14,10 @@ or infeasible by a dual certificate (checked at iterations 1, 2, 4, ...,
 one more eigvalsh each), by a plateau of the violation, or at the iteration
 cap; see sdp_feasibility.
 K_hat = Sigma_xu' Sigma_xx^{-1} then runs until the probing-phase state decays.
+Its certificate on the estimates is lds.stability_witness with X = Sigma_xx:
+kappa = max(||K||, cond(Sigma_xx)^{1/2}) and gamma = 1 - ||L|| for
+L = Sigma_xx^{-1/2} (A_hat + B_hat K) Sigma_xx^{1/2}, which the SDP bounds by
+||L||^2 <= 1 - 1/lambda_max(Sigma_xx) <= 1 - 1/nu.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from .errors import (
     NotStabilizingError,
     SdpInfeasibleError,
 )
-from .lds import LinearSystem, spectral_norm
+from .lds import (
+    LinearSystem,
+    StabilityCertificate,
+    spectral_norm,
+    stability_witness,
+)
 from .plant import BlackBoxPlant
 
 DEFAULT_TOL = 1e-9
@@ -329,25 +338,16 @@ class RecoveryResult:
     gamma_tilde: float
     constants: RecoveryConstants
     sigma: SdpBlockMatrix
-    # direct witness on the estimated system: H = Sigma_xx^{1/2}
-    H: np.ndarray
-    L: np.ndarray
-    norm_L: float
+    # strong-stability witness of K on the estimates, from X = Sigma_xx
+    witness: StabilityCertificate
     # Dykstra iterations, final violation and ||Sigma_xx - G Sigma G' - I||_F
     sdp_iterations: int
     sdp_violation: float
     sdp_affine_residual: float
 
     @property
-    def kappa_est(self) -> float:
-        """Certified kappa of K on the estimated system."""
-        Hinv = np.linalg.inv(self.H)
-        return max(spectral_norm(self.K), spectral_norm(self.H) * spectral_norm(Hinv))
-
-    @property
-    def gamma_est(self) -> float:
-        """Certified gamma of K on the estimated system."""
-        return 1.0 - self.norm_L
+    def norm_L(self) -> float:
+        return self.witness.norm_L
 
 
 def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
@@ -356,9 +356,8 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
     """Solve the feasibility SDP on (A_hat, B_hat) and extract K_hat.
 
     The returned (kappa_tilde, gamma_tilde) are the guaranteed stability
-    constants for the true system. A direct strong-stability witness on the
-    estimates, H = Sigma_xx^{1/2} and L = H^{-1}(A_hat + B_hat K) H, is built
-    and checked against the feasibility-implied bound ||L|| <= 1 - 1/(2 nu).
+    constants for the true system. The witness of K on the estimates (X =
+    Sigma_xx, see above) is checked against ||L|| <= 1 - 1/(2 nu).
     The trace cap nu is derived from (kappa', gamma', eps) unless given;
     RecoveryConstants.from_existence names any of them out of range.
     """
@@ -371,12 +370,8 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
     sigma = sdp_feasibility(A_hat, B_hat, constants.nu,
                             on_iteration=lambda it, viol: last.update(it=it, viol=viol))
     K = extract_controller(sigma)
-    w, U = np.linalg.eigh(sigma.xx)
-    w = np.maximum(w, 1e-300)
-    H = _symmetrize((U * np.sqrt(w)) @ U.T)
-    Hinv = (U * (1.0 / np.sqrt(w))) @ U.T
-    L = Hinv @ (A_hat + B_hat @ K) @ H
-    norm_L = spectral_norm(L)
+    witness = stability_witness(A_hat + B_hat @ K, sigma.xx, K)
+    norm_L = witness.norm_L
     bound = 1.0 - 1.0 / (2.0 * constants.nu)
     if norm_L > bound + max(10.0 * DEFAULT_TOL, 1e-8):
         raise SdpInfeasibleError(
@@ -384,7 +379,7 @@ def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
             f"exceeds {bound:.12g}", reason="witness", residual=norm_L - bound)
     return RecoveryResult(K=K, kappa_tilde=constants.kappa_tilde,
                           gamma_tilde=constants.gamma_tilde, constants=constants,
-                          sigma=sigma, H=H, L=L, norm_L=norm_L,
+                          sigma=sigma, witness=witness,
                           sdp_iterations=last["it"], sdp_violation=last["viol"],
                           sdp_affine_residual=_affine_residual(
                               np.hstack([A_hat, B_hat]), sigma.sigma))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blackbox_lds import LinearSystem, certify_strong_stability, strong_controllability_check
+from blackbox_lds.errors import CertificateError
 from blackbox_lds.lds import spectral_norm
 
 
@@ -52,7 +53,7 @@ def random_certified_pair(rng, d_x_max=3, d_u_max=2, rho_max=0.8,
         sys = LinearSystem(F - B @ K, B)
         try:
             cert = certify_strong_stability(sys, K)
-        except Exception:
+        except CertificateError:
             continue
         if cert.kappa <= kappa_cap and cert.gamma >= gamma_min:
             return sys, K, cert

@@ -276,6 +276,7 @@ class TestSchemaValidation:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "runtime"
         assert err["error"]["phase"] == "sysid"
+        assert err["error"]["reason"] is None  # not a phase-2 rejection
 
     @pytest.mark.parametrize("path,value", [
         ("prior.kappa", 1e200),  # C = 3 kappa^2 k^2 beta^(6k) overflows
@@ -649,6 +650,23 @@ class TestSysidAndRecoverCommands:
         assert summary["sdp_iterations"] == direct.sdp_iterations >= 1
         assert summary["sdp_violation"] == direct.sdp_violation <= 1e-9
         assert summary["sdp_affine_residual"] == direct.sdp_affine_residual <= 1e-9
+
+    @pytest.mark.parametrize("subcommand,cfg,phase", [
+        # Sigma_xx = 4 Sigma_xx + 1 has no PSD solution
+        ("recover", {**CONFIGS["recover"], "A_hat": [[2.0]], "B_hat": [[0.0]]},
+         None),
+        # tr(Sigma) >= Sigma_xx >= 1 exceeds nu: raised from PhaseError("recover")
+        ("pipeline", _replaced(PIPELINE_CFG, "overrides.nu", 0.5), "recover"),
+    ])
+    def test_sdp_rejection_names_its_reason(self, tmp_path, capsys, subcommand,
+                                            cfg, phase):
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["kind"], err["phase"], err["reason"]) \
+            == ("runtime", phase, "certificate")
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

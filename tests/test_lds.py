@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +22,14 @@ from blackbox_lds import (
     step,
     strong_controllability_check,
 )
+from blackbox_lds import lds
 from blackbox_lds.errors import (
     CertificateError,
     DimensionMismatchError,
     NonFiniteValueError,
     NotControllableError,
 )
+from blackbox_lds.lds import _lyapunov
 from conftest import random_controllable_system
 
 
@@ -278,9 +282,11 @@ class TestCostFunction:
 
 class TestCertify:
     def test_diagonal(self):
+        # X = diag(4/3, 16/15), so kappa = cond(H) = sqrt(1.25) (the
+        # eigenvector witness gave 1.0) and gamma = 1 - sqrt(1 - 3/4)
         sys = LinearSystem(np.diag([0.5, 0.25]), np.eye(2))
         cert = certify_strong_stability(sys, np.zeros((2, 2)))
-        assert cert.kappa == pytest.approx(1.0)
+        assert cert.kappa == pytest.approx(math.sqrt(1.25))
         assert cert.gamma == pytest.approx(0.5)
 
     def test_deadbeat(self):
@@ -310,6 +316,90 @@ class TestCertify:
         cert = certify_strong_stability(sys, np.zeros((2, 2)))
         assert cert.gamma == pytest.approx(0.5)
         assert cert.residual(sys) <= 1e-10
+
+    @pytest.mark.parametrize("F,norm_L,cond_H", [
+        ([[0.5, 1.0], [0.0, 0.5]], 0.88310, 2.04),
+        ([[0.9, 5.0], [0.0, 0.9]], 0.99992, 47.7),
+    ])
+    def test_defective_loops(self, F, norm_L, cond_H):
+        # no eigenvector basis: the realified eigendecomposition refused
+        # both, at eigenvector condition 1.8e16 and 5e16
+        sys = LinearSystem(F, np.zeros((2, 1)))
+        cert = certify_strong_stability(sys, np.zeros((1, 2)))
+        lam_max = np.linalg.eigvalsh(_lyapunov(sys.A))[-1]
+        assert abs(cert.norm_L - math.sqrt(1.0 - 1.0 / lam_max)) <= 1e-12
+        assert round(cert.norm_L, 5) == norm_L
+        assert round(float(np.linalg.cond(cert.H)), 2 if cond_H < 10 else 1) == cond_H
+        assert cert.kappa == pytest.approx(np.linalg.cond(cert.H), rel=1e-12)
+        assert cert.residual(sys) <= 1e-12 * np.linalg.norm(sys.A, 2)
+
+    @pytest.mark.parametrize("F", [
+        np.diag([1.0, 0.5]),
+        [[1.0, 1.0], [0.0, 1.0]],
+        [[0.0, -1.0], [1.0, 0.0]],
+    ])
+    def test_unit_spectral_radius_rejected(self, F):
+        # the Lyapunov sum diverges at rho = 1: refused before it is tried
+        sys = LinearSystem(F, np.zeros((2, 1)))
+        with pytest.raises(CertificateError, match="unstable closed loop"):
+            certify_strong_stability(sys, np.zeros((1, 2)))
+
+    def test_a_witness_that_does_not_contract_is_refused(self, monkeypatch):
+        # X = I, as a solve that rounding ruined could return, gives L = F
+        # with ||L|| > 1: refused, not returned with gamma < 0
+        monkeypatch.setattr(lds, "_lyapunov", lambda F: np.eye(len(F)))
+        sys = LinearSystem([[0.9, 5.0], [0.0, 0.9]], np.zeros((2, 1)))
+        with pytest.raises(CertificateError, match="witness has"):
+            certify_strong_stability(sys, np.zeros((1, 2)))
+
+    @given(jordan=st.booleans(), n=st.integers(1, 4),
+           rho=st.floats(0.0, 0.999) | st.just(0.999),
+           scale=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_witness_property(self, jordan, n, rho, scale, seed):
+        # a Jordan block +-rho I + scale N (defective for n > 1), or a dense
+        # Gaussian F rescaled to spectral radius rho (complex pairs included)
+        rng = np.random.default_rng(seed)
+        if jordan:
+            F = rho * rng.choice([-1.0, 1.0]) * np.eye(n) + scale * np.eye(n, k=1)
+        else:
+            F = rng.normal(size=(n, n))
+            F *= rho / max(abs(np.linalg.eigvals(F)))
+        sys = LinearSystem(F, np.zeros((n, 1)))
+        lam_max = np.linalg.eigvalsh(_lyapunov(F))[-1]
+        try:
+            cert = certify_strong_stability(sys, np.zeros((1, n)))
+        except CertificateError:
+            # refused only where gamma ~ 1/(2 lambda_max) is below the
+            # rounding of ||L|| near 1 (n >= 3 Jordan blocks near rho = 1)
+            assert lam_max >= 1e13
+            return
+        # squared, since 1 - 1/lambda_max carries an absolute rounding of eps
+        # that its square root magnifies to eps / (2 ||L||) for a small ||L||
+        assert abs(cert.norm_L**2 - (1.0 - 1.0 / lam_max)) <= 1e-12
+        assert cert.residual(sys) <= 1e-12 * max(np.linalg.norm(F, 2), 1e-300)
+        # the envelope ||F^t|| <= kappa (1 - gamma)^t, with 1 - gamma = ||L||
+        # as stored (1 - gamma itself rounds once more)
+        power = np.eye(n)
+        for t in range(201):
+            assert np.linalg.norm(power, 2) \
+                <= (1.0 + 1e-12) * cert.kappa * cert.norm_L**t + 1e-300
+            power = power @ F
+
+    def test_smith_solve_matches_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(11)
+        cases = [np.array([[0.5, 1.0], [0.0, 0.5]]), np.array([[0.9, 5.0], [0.0, 0.9]]),
+                 0.999 * np.eye(3) + np.eye(3, k=1)]
+        for n in (1, 2, 3, 4, 6, 8):
+            for rho in (0.0, 0.5, 0.9, 0.99, 0.999):
+                F = rng.normal(size=(n, n))
+                cases.append(F * rho / max(abs(np.linalg.eigvals(F))))
+        for F in cases:
+            X = _lyapunov(F)
+            ref = linalg.solve_discrete_lyapunov(F, np.eye(len(F)))
+            assert np.linalg.norm(X - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+            assert np.array_equal(X, X.T)
 
 
 class TestPriorBounds:

@@ -54,6 +54,16 @@ class TestBlackBoxContract:
             plant.apply([np.inf], phase="sim")
         assert err.value.step == 2
 
+    def test_cost_overflow_rejected_before_the_round_is_logged(self):
+        # x_1 and u_1 are finite but ||x_1||^2 = 1e400 is not; the round used
+        # to be logged with cost inf, and total_cost became inf
+        sys = LinearSystem([[0.5]], [[1.0]])
+        plant = BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [1e200])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError) as err:
+            plant.apply([0.0], phase="sim")
+        assert (err.value.what, err.value.step) == ("cost", 1)
+        assert (plant.t, len(plant.log), plant.total_cost) == (1, 0, 0.0)
+
     def test_state_is_a_copy(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [1.0])
@@ -139,10 +149,12 @@ class TestSimulateContract:
         assert log.phase_costs == plant.log.phase_costs == {"probe": plant.total_cost}
 
     def test_state_overflow_is_a_nonfinite_state(self):
-        # x_2 = 1e150, x_3 = 1e300, x_4 overflows
+        # x_2 = 1e150, x_3 = 1e300, x_4 overflows; the cost is zero, since
+        # c_3 = ||x_3||^2 would overflow first
         sys = LinearSystem([[1e150]], [[1.0]])
+        zero = CostFunction.weighted_quadratic([[0.0]], [[0.0]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError) as err:
-            simulate(sys, lambda t, x: np.zeros(1), ZeroDisturbance(), QUAD, 5, [1.0])
+            simulate(sys, lambda t, x: np.zeros(1), ZeroDisturbance(), zero, 5, [1.0])
         assert (err.value.what, err.value.step) == ("state", 4)
 
 

@@ -14,6 +14,7 @@ from blackbox_lds import (
     SdpBlockMatrix,
     SignAdversarialDisturbance,
     ZeroDisturbance,
+    certify_strong_stability,
     controller_recovery,
     decay,
     extract_controller,
@@ -551,6 +552,20 @@ class TestDecay:
             assert np.linalg.norm(result.x_final) <= 2 * cert.kappa / cert.gamma
             assert result.cost <= 16 * QUAD.G * cert.kappa**4 * x0n**3 \
                 / cert.gamma**3
+
+    @pytest.mark.parametrize("F", [[[0.5, 1.0], [0.0, 0.5]], [[0.9, 5.0], [0.0, 0.9]]])
+    def test_defective_closed_loop_lands_within_the_bound(self, F):
+        # certified by the Lyapunov witness only (gamma = 0.117 and 7.6e-5);
+        # ||x_1|| = 1e7 lies above 2 kappa/gamma (35 and 1.3e6)
+        sys = LinearSystem(F, np.zeros((2, 1)))
+        K = np.zeros((1, 2))
+        cert = certify_strong_stability(sys, K)
+        x1 = np.array([0.0, 1e7])
+        assert np.linalg.norm(x1) > 2 * cert.kappa / cert.gamma
+        plant = BlackBoxPlant(sys, SignAdversarialDisturbance(), QUAD, x1)
+        result = decay(plant, K, cert.kappa, cert.gamma)
+        assert result.steps == decay_horizon(cert.gamma, 1e7) > 0
+        assert np.linalg.norm(result.x_final) <= 2 * cert.kappa / cert.gamma
 
     def test_divergence_detected(self):
         # wrong prior: K destabilizes; the windowed guard must fire
