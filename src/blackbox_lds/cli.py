@@ -29,6 +29,7 @@ import logging
 import math
 import os
 import sys
+import traceback
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +47,7 @@ from .lds import (
     CostFunction,
     LinearSystem,
     PriorBounds,
+    RunLog,
     SignAdversarialDisturbance,
     SinusoidalDisturbance,
     ZeroDisturbance,
@@ -329,10 +331,6 @@ def parse_config(subcommand: str, cfg) -> SimpleNamespace:
 
 # -- serialization ------------------------------------------------------------
 
-def _g17(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _jsonable(obj):
     """Floats become round-trip-exact; numpy values become plain lists."""
     if isinstance(obj, dict):
@@ -382,33 +380,21 @@ _CSV_COLUMNS = ("t", "phase", "state_norm", "control_norm", "cost",
                 "cumulative_cost")
 
 
-def _csv_text(steps) -> tuple:
-    """(steps.csv text, final running cost): one row per (t, phase, x, u,
-    cost) step with the norms of x and u, the cost and the running cost. The
-    earliest step with a NaN or an infinity raises NonFiniteValueError
-    naming its column."""
+def _csv_text(log) -> str:
+    """steps.csv of a RunLog: one row per round with the norms of x_t and
+    u_t, the cost and the running cost. The earliest round with a NaN or an
+    infinity raises NonFiniteValueError naming its column."""
     lines = [",".join(_CSV_COLUMNS)]
     running = 0.0
-    for t, phase, x, u, c in steps:
+    rounds = zip(log.phases, log.states(), log.controls(), log.costs().tolist())
+    for t, (phase, x, u, c) in enumerate(rounds, 1):
         running += c
         numbers = (float(np.linalg.norm(x)), float(np.linalg.norm(u)), c, running)
         for column, value in zip(_CSV_COLUMNS[2:], numbers):
             if not math.isfinite(value):
                 raise NonFiniteValueError(f"steps.{column}", t)
-        lines.append(f"{t},{phase}," + ",".join(map(_g17, numbers)))
-    lines.append("")
-    return "\n".join(lines), running
-
-
-def _log_steps(log):
-    return zip(range(1, len(log) + 1), log.phases, log.states(),
-               log.controls(), log.costs().tolist())
-
-
-def _transcript_steps(transcript, phase):
-    # the adversaries charge ||x||^2 + ||u||^2
-    return ((s.t, phase, s.x, s.u, float(s.x @ s.x + s.u @ s.u))
-            for s in transcript.steps)
+        lines.append(f"{t},{phase}," + ",".join(format(v, ".17g") for v in numbers))
+    return "\n".join(lines) + "\n"
 
 
 def _comparator_fields(comparator):
@@ -428,21 +414,20 @@ def _comparator_fields(comparator):
 
 
 # -- experiments --------------------------------------------------------------
-# Each runner takes the parsed experiment and returns its (t, phase, x, u,
-# cost) steps and its own summary fields; dispatch writes steps.csv and
-# summary.json.
+# Each runner takes the parsed experiment and returns its RunLog (recover,
+# which plays no round, an empty one) and its own summary fields; dispatch
+# writes steps.csv and summary.json, whose total_cost is the log's.
 
 def _run_pipeline_experiment(exp):
     report = run_pipeline(exp.plant, exp.prior, exp.horizon,
                           overrides=exp.overrides, seed=exp.seed, **exp.options)
     err_A = float(np.linalg.norm(report.estimates.A_hat - exp.system.A, 2))
     err_B = float(np.linalg.norm(report.estimates.B_hat - exp.system.B, 2))
-    return _log_steps(report.log), {
+    return report.log, {
         "constants": report.constants.as_dict(),
         "constants_provenance": report.constants.provenance,
         "stability_used": report.stability_used,
         "phase_costs": report.phase_costs,
-        "total_cost": report.total_cost,
         "regret": report.regret_value,
         **_comparator_fields(report.comparator),
         "A_hat": report.estimates.A_hat,
@@ -467,7 +452,7 @@ def _run_sysid_experiment(exp):
     plant = exp.plant
     lam = exp.constants.lam
     bundle = adv_sys_id(plant, exp.eps, lam, exp.prior.k, exp.prior.kappa)
-    return _log_steps(plant.log), {
+    return plant.log, {
         "eps": exp.eps,
         "lam": lam,
         "A_hat": bundle.A_hat,
@@ -475,7 +460,6 @@ def _run_sysid_experiment(exp):
         "estimate_error_A": float(np.linalg.norm(bundle.A_hat - exp.system.A, 2)),
         "estimate_error_B": float(np.linalg.norm(bundle.B_hat - exp.system.B, 2)),
         "x_final_norm": float(np.linalg.norm(bundle.x_final)),
-        "total_cost": plant.total_cost,
     }
 
 
@@ -483,7 +467,7 @@ def _run_recover_experiment(exp):
     A_hat, B_hat, rc = exp.system.A, exp.system.B, exp.recovery
     result = controller_recovery(A_hat, B_hat, rc.eps, rc.kappa_prime, rc.gamma_prime)
     closed = A_hat + B_hat @ result.K
-    return [], {
+    return RunLog(exp.system.d_x, exp.system.d_u), {
         "K": result.K,
         "nu": result.constants.nu,
         "kappa_tilde": result.kappa_tilde,
@@ -495,31 +479,29 @@ def _run_recover_experiment(exp):
         "kappa_certified": result.witness.kappa,
         "gamma_certified": result.witness.gamma,
         "closed_loop_spectral_radius": float(max(abs(np.linalg.eigvals(closed)))),
-        "total_cost": 0.0,
     }
 
 
 def _run_lowerbound_rand(exp):
     transcript = lb.randomized_lb_trial(exp.factory, exp.d_x, gamma=exp.gamma,
                                         seed=exp.seed)
-    return _transcript_steps(transcript, "lowerbound-rand"), {
+    return transcript.log, {
         "d_x": transcript.d_x,
         "gamma": transcript.gamma,
         "controller": exp.controller,
-        "steps": len(transcript.steps),
-        "h_sq": [float(v) for v in transcript.h_sq],
+        "steps": len(transcript.log),
+        "h_sq": transcript.h_sq,
         "all_doubled": transcript.all_doubled,
         "final_state_norm": transcript.final_state_norm,
-        "final_state_sq_threshold": 2.0 ** (len(transcript.steps) - 1),
+        "final_state_sq_threshold": 2.0 ** (len(transcript.log) - 1),
         "system_spectral_norm": transcript.system_norm,
         "system_norm_threshold": 3.0 * math.sqrt(transcript.gamma),
-        "total_cost": transcript.total_cost,
     }
 
 
 def _run_lowerbound_det(exp):
     transcript = lb.deterministic_adversary(exp.factory, exp.d_x)
-    return _transcript_steps(transcript, "lowerbound-det"), {
+    return transcript.log, {
         "d_x": transcript.d_x,
         "controller": exp.controller,
         "final_state_norm": transcript.final_state_norm,
@@ -527,7 +509,6 @@ def _run_lowerbound_det(exp):
         "system_spectral_norm": transcript.system_norm,
         "c_diag": [float(v) for v in transcript.c_diag],
         "d_signs": [float(v) for v in transcript.d_signs],
-        "total_cost": transcript.total_cost,
     }
 
 
@@ -545,16 +526,23 @@ def dispatch(subcommand: str, cfg: dict, out_dir: str) -> None:
 
     Every number of both files is checked to be finite before either is
     written: a NaN or an infinity raises NonFiniteValueError naming the
-    field, and nothing is written."""
-    _execute(parse_config(subcommand, cfg), out_dir)
+    field, and nothing is written. A failed run's frames drop their locals
+    before its error propagates, so an error the caller keeps (in a cycle
+    with its traceback) does not hold the run's arrays on the heap."""
+    try:
+        _execute(parse_config(subcommand, cfg), out_dir)
+    except BaseException as exc:
+        traceback.clear_frames(exc.__traceback__)
+        raise
 
 
 def _execute(exp, out_dir: str) -> None:
     log.info(f"running {exp.subcommand} -> {out_dir}")
-    steps, summary = _RUNNERS[exp.subcommand](exp)
-    csv_text, cumulative = _csv_text(steps)
+    run_log, summary = _RUNNERS[exp.subcommand](exp)
+    csv_text = _csv_text(run_log)
     summary.update(experiment=exp.subcommand, seed=exp.seed, config=exp.config,
-                   cumulative_cost=cumulative)
+                   total_cost=run_log.cumulative_cost,
+                   cumulative_cost=run_log.cumulative_cost)
     json_text = _json_text(summary)
     os.makedirs(out_dir, exist_ok=True)
     _write_text(os.path.join(out_dir, "steps.csv"), csv_text)

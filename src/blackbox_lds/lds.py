@@ -313,7 +313,10 @@ class RunLog:
     disturbances() and costs(), each a copy of a float64 `_Rows` buffer that
     append copies x_t, u_t, w_t and c_t into, and entry t-1 of `phases`. The
     running cost, overall and per phase (phases in order of first
-    appearance), is summed one round at a time in round order."""
+    appearance), is summed one round at a time in round order.
+
+    A run with no disturbance (the lower-bound attacks) appends w = None on
+    every round: it keeps no disturbance rows, and disturbances() is zeros."""
 
     def __init__(self, d_x: int, d_u: int, seed: Optional[int] = None):
         self.seed = seed
@@ -326,7 +329,8 @@ class RunLog:
     def append(self, x, u, w, cost: float, phase: str):
         self._x.append(x)
         self._u.append(u)
-        self._w.append(w)
+        if w is not None:
+            self._w.append(w)
         self._cost.append(cost)
         self.phases.append(phase)
         self.cumulative_cost += cost
@@ -342,6 +346,8 @@ class RunLog:
         return self._u.view.copy()
 
     def disturbances(self) -> np.ndarray:
+        if self._w.n < len(self):  # rounds logged with w = None
+            return np.zeros((len(self), self._w.data.shape[1]))
         return self._w.view.copy()
 
     def costs(self) -> np.ndarray:

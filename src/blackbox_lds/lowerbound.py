@@ -12,26 +12,25 @@ harness appends a private copy of every new state to it, so whatever the
 instance writes into its list is seen by nobody else.
 
 Cost per round t, besides the attacked controller: the randomized trial
-steps a dense system (O(d_x^2)) and keeps its subspace tracker in
-O(d_x t); the deterministic adversary's bookkeeping is O(d_x t), including
-an escape direction when the control adds nothing new (from running column
-norms of V, with no t-by-d_x temporary), with its Q and V rows kept in
-growable buffers. The Python work of a round (history appends, transcript
-records) is a constant number of numpy calls in both harnesses; it does not
-grow with t. The built-in certainty-equivalent controller costs O(d_x t)
-when the new state is orthogonal to every observed one, as on every round
-after the first of the deterministic adversary, and O(d_x t^2) otherwise (an
-SVD of the d_x-by-t state matrix, as in the randomized trial); the other
-built-ins cost at most one d_x-by-d_x product.
+steps a dense system (O(d_x^2)) and keeps its subspace tracker in O(d_x t);
+the deterministic adversary's bookkeeping is O(d_x t), its Q and V rows in
+growable buffers and its escape direction (when the control adds nothing
+new) read from running column norms of V. The rest of a round (history
+appends, one run-log row) is a constant number of numpy calls. The built-in
+certainty-equivalent controller costs O(d_x t) on a state orthogonal to
+every observed one (every round after the first of the deterministic
+adversary) and O(d_x t^2) otherwise, an SVD of the d_x-by-t state matrix;
+the other built-ins cost at most one d_x-by-d_x product.
 
-Each harness reports one d_x-by-d_x spectral norm (||A|| or ||Q'V||), once
-per trial. It is taken by `_spectral_norm` from the top eigenvalue of a Gram
-matrix, which at d_x = 800 costs ~75 ms against ~190 ms for the SVD of
-`lds.spectral_norm` (one BLAS thread); that SVD stays where the matrices are
-small (the phase-2 certificates) and a few ulp matter more than time.
+Each trial takes one d_x-by-d_x spectral norm (||A|| or ||Q'V||) by
+`_spectral_norm`, from the top eigenvalue of a Gram matrix: ~75 ms at
+d_x = 800 against ~190 ms for the SVD of `lds.spectral_norm` (one BLAS
+thread), which stays where matrices are small and a few ulp matter more.
 
-The growable row buffer `_Rows` behind these rows now lives in lds, next to
-the run log that shares it.
+Each harness records its rounds in an `lds.RunLog`, as the plant does: x_t,
+u_t and the cost ||x_t||^2 + ||u_t||^2, no disturbance row (w_t = 0), and
+the subcommand as the phase, so a trial's total cost is the log's running
+sum. The transcript keeps the log next to the per-round ||h_t||^2.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConstructionDriftError, DimensionMismatchError,
                      NonDeterministicControllerError, NonFiniteValueError)
-from .lds import _NORM_SAFE_RANGE, _Rows
+from .lds import _NORM_SAFE_RANGE, RunLog, _Rows
 
 ControllerFn = Callable[[List[np.ndarray]], np.ndarray]
 ControllerFactory = Callable[[], ControllerFn]
@@ -97,8 +96,7 @@ class SubspaceTracker:
         x = np.asarray(x, dtype=float)
         rows = self._rows.view
         r = x - rows.T @ (rows @ x)
-        r = r - rows.T @ (rows @ r)
-        return r
+        return r - rows.T @ (rows @ r)
 
     def extend(self, v, residual=None) -> bool:
         """Add v to the span; returns True if the rank grew. `residual`, if
@@ -125,89 +123,75 @@ def sample_gaussian_system(d_x: int, gamma: float, seed) -> np.ndarray:
 
 
 @dataclass
-class TranscriptStep:
-    t: int
-    x: np.ndarray
-    u: np.ndarray
-    h_sq: float
-    doubled: Optional[bool]  # ||h_{t+1}||^2 >= 2 ||h_t||^2; None for the last step
-
-
-@dataclass
 class AdversaryTranscript:
-    kind: str  # "randomized" | "deterministic"
+    """One attack: its rounds in `log` and h_sq[t-1] = ||h_t||^2 for each
+    round t (for the deterministic adversary, (c_t^t)^2)."""
+
     d_x: int
-    steps: list
+    log: RunLog
+    h_sq: np.ndarray
     final_state_norm: float
-    total_cost: float
-    seed: Optional[int] = None
     gamma: Optional[float] = None
     system_norm: Optional[float] = None  # ||A|| or ||Q'V||
     A: Optional[np.ndarray] = None
-    # deterministic-construction artifacts
-    V: Optional[np.ndarray] = None
+    V: Optional[np.ndarray] = None  # V and Q: the deterministic construction
     Q: Optional[np.ndarray] = None
-    D: Optional[np.ndarray] = None
-    P: Optional[np.ndarray] = None
     c_diag: list = field(default_factory=list)   # c_t^t
     a_next: list = field(default_factory=list)   # a_{t+1}^t
-    d_signs: list = field(default_factory=list)  # d_t
+    d_signs: list = field(default_factory=list)  # d_t; Q = diag(d_signs) P V
 
     @property
-    def h_sq(self) -> np.ndarray:
-        return np.array([s.h_sq for s in self.steps])
+    def total_cost(self) -> float:
+        return self.log.cumulative_cost
 
     @property
     def all_doubled(self) -> bool:
-        return all(s.doubled for s in self.steps if s.doubled is not None)
+        """||h_{t+1}||^2 >= 2 ||h_t||^2 on every round but the last."""
+        with np.errstate(over="ignore"):  # 2 ||h_t||^2 may round up to inf
+            return bool(np.all(self.h_sq[1:] >= 2.0 * self.h_sq[:-1]))
+
+
+def _log_round(log: RunLog, x, u, phase: str) -> None:
+    # round (x_t, u_t) costs ||x_t||^2 + ||u_t||^2, with no disturbance
+    log.append(x, u, None, float(x @ x + u @ u), phase)
 
 
 def randomized_lb_trial(controller_factory: ControllerFactory, d_x: int,
                         gamma: float = 40.0, seed=0) -> AdversaryTranscript:
     """One trial against a Gaussian system A ~ N(d_x, d_x, gamma/d_x):
-    simulate x_{t+1} = A x_t + u_t from x_1 = e_1 for T = floor(d_x/8) rounds
-    with costs ||x||^2 + ||u||^2, tracking the unseen-subspace residual h_t
-    and whether it doubled. Round t costs O(d_x^2) for A x_t and O(d_x t)
+    simulate x_{t+1} = A x_t + u_t from x_1 = e_1 for T = floor(d_x/8) rounds,
+    logging each with its unseen-subspace residual ||h_t||^2. Round t costs O(d_x^2) for A x_t and O(d_x t)
     for the tracker (two residuals: h_t, reused to extend the span by x_t,
     and that of u_t), plus the controller's call. A control that is not d_x
     long raises DimensionMismatchError("control").
 
-    ||A|| is taken once, right after sampling and before the controller is
-    built: its Gram matrix and the eigensolver's copy of it (two d_x^2
-    arrays) are freed before a controller can allocate d_x^2 state of its
-    own (frozen_random's R), so they never add to the trial's peak memory."""
+    ||A|| is taken before the controller is built, so its Gram matrix and the
+    eigensolver's copy are freed before a controller allocates d_x^2 state
+    (frozen_random's R) and never add to the trial's peak memory."""
     A = sample_gaussian_system(d_x, gamma, seed)
     system_norm = _spectral_norm(A)
     controller = controller_factory()
     T = max(d_x // 8, 1)
     tracker = SubspaceTracker(d_x)
-    x = np.zeros(d_x)
-    x[0] = 1.0
+    x = np.eye(1, d_x)[0]  # e_1
     history = [x.copy()]
-    steps = []
-    h_prev_sq = None
-    total_cost = 0.0
+    log = RunLog(d_x, d_x, seed=seed)
+    h_sq = []
     for t in range(1, T + 1):
         h = tracker.residual(x)
-        h_sq = float(h @ h)
-        if h_prev_sq is not None:
-            steps[-1].doubled = bool(h_sq >= 2.0 * h_prev_sq)
+        h_sq.append(float(h @ h))
         u = np.asarray(controller(history), dtype=float).reshape(-1)
         if u.shape != x.shape:
             raise DimensionMismatchError("control", x.shape, u.shape)
-        total_cost += float(x @ x + u @ u)
-        steps.append(TranscriptStep(t=t, x=x, u=u.copy(), h_sq=h_sq,
-                                    doubled=None))
-        h_prev_sq = h_sq
         tracker.extend(x, residual=h)
         tracker.extend(u)
+        _log_round(log, x, u, "lowerbound-rand")
         if t < T:
             x = A @ x + u
             history.append(x.copy())
     return AdversaryTranscript(
-        kind="randomized", d_x=d_x, steps=steps,
-        final_state_norm=float(np.linalg.norm(steps[-1].x)),
-        total_cost=total_cost, seed=seed, gamma=gamma,
+        d_x=d_x, log=log, h_sq=np.array(h_sq),
+        final_state_norm=float(np.linalg.norm(x)), gamma=gamma,
         system_norm=system_norm, A=A)
 
 
@@ -274,12 +258,10 @@ def deterministic_adversary(controller_factory: ControllerFactory,
     d_signs = []
     c_diag = [1.0]  # c_1^1: x_1 = e_1 = V_1'
     a_next = []
-    x = np.zeros(d_x)
-    x[0] = 1.0
+    x = np.eye(1, d_x)[0]  # x_1 = e_1
     history = [x.copy()]
     witness_history = [x.copy()]
-    steps = []
-    total_cost = 0.0
+    log = RunLog(d_x, d_x)
     for t in range(1, d_x):
         u = np.asarray(controller(history), dtype=float).reshape(-1)
         u_check = np.asarray(witness(witness_history), dtype=float).reshape(-1)
@@ -307,9 +289,7 @@ def deterministic_adversary(controller_factory: ControllerFactory,
         Q_rows.append(d_t * y)
         d_signs.append(d_t)
         a_next.append(a_t)
-        total_cost += float(x @ x + u @ u)
-        steps.append(TranscriptStep(t=t, x=x, u=u.copy(),
-                                    h_sq=c_t * c_t, doubled=None))
+        _log_round(log, x, u, "lowerbound-det")
         # x_{t+1} = Q'V x_t + u_t; x_t lives in span(V_1..V_t), so only the
         # rows fixed so far contribute
         x = Q_rows.view.T @ (V @ x) + u
@@ -320,28 +300,22 @@ def deterministic_adversary(controller_factory: ControllerFactory,
         # the diagonal coefficient obeys c_{t+1} = c_t d_t + a_t; the signs
         # make the terms add constructively, so |c| at least doubles
         c_diag.append(c_t * d_t + a_t)
-    total_cost += float(x @ x)  # terminal state cost, zero-control round
-    steps.append(TranscriptStep(t=d_x, x=x, u=np.zeros(d_x),
-                                h_sq=c_diag[-1] * c_diag[-1], doubled=None))
+    _log_round(log, x, np.zeros(d_x), "lowerbound-det")  # zero-control last round
     V = V_rows.view
     measured = float(V[d_x - 1] @ x)
     if abs(measured - c_diag[-1]) > 1e-6 * max(1.0, abs(c_diag[-1])):
         raise ConstructionDriftError(
             "construction drifted: recursion and measured coefficients "
             f"disagree ({c_diag[-1]} vs {measured})")
-    # complete the system: Q_{d_x} = 2 V_1, Q = D P V with the cyclic shift P
+    # complete the system: Q_{d_x} = 2 V_1, so Q = diag(d_signs) P V, P a cyclic shift
     Q_rows.append(2.0 * V[0])
     d_signs.append(2.0)
     Q = Q_rows.view
-    D = np.diag(d_signs)
-    P = np.zeros((d_x, d_x))
-    for i in range(d_x):
-        P[i, (i + 1) % d_x] = 1.0
     return AdversaryTranscript(
-        kind="deterministic", d_x=d_x, steps=steps,
+        d_x=d_x, log=log, h_sq=np.array([c * c for c in c_diag]),
         final_state_norm=float(np.linalg.norm(x)),
-        total_cost=total_cost, system_norm=_spectral_norm(Q.T @ V),
-        V=V, Q=Q, D=D, P=P, c_diag=c_diag, a_next=a_next, d_signs=d_signs)
+        system_norm=_spectral_norm(Q.T @ V), V=V, Q=Q, c_diag=c_diag,
+        a_next=a_next, d_signs=d_signs)
 
 
 # -- built-in controllers to attack ------------------------------------------
@@ -400,15 +374,14 @@ def certainty_equivalent_controller() -> ControllerFn:
 
 def frozen_random_controller(seed: int = 12345, scale: float = 1.0) -> ControllerFn:
     """Linear feedback u_t = R x_t with R drawn once from a fixed seed."""
-    state = {"R": None}
+    R = None
 
     def act(history):
-        x = history[-1]
-        if state["R"] is None:
-            rng = np.random.default_rng(seed)
-            d = x.shape[0]
-            state["R"] = rng.normal(0.0, scale / math.sqrt(d), size=(d, d))
-        return state["R"] @ x
+        nonlocal R
+        if R is None:
+            d = len(history[-1])
+            R = np.random.default_rng(seed).normal(0.0, scale / math.sqrt(d), (d, d))
+        return R @ history[-1]
 
     return act
 

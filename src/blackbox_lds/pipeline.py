@@ -61,9 +61,8 @@ class PhaseConstants:
     provenance: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in
-               ("k", "kappa", "beta", "d_x", "d_u", "T", "G", "T1") + _DERIVABLE}
-        return out
+        return {name: getattr(self, name) for name in
+                ("k", "kappa", "beta", "d_x", "d_u", "T", "G", "T1") + _DERIVABLE}
 
 
 def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
@@ -276,9 +275,9 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         why = (f"exceeds the {T_gpc} rounds left for GPC" if H > T_gpc else
                f"needs {stack_bytes / 2**20:.0f} MiB of window stacks, over the "
                f"{GPC_STACK_BUDGET // 2**20} MiB budget")
+        remedy = "" if use_certified_stability else " or use certified stability"
         raise PhaseError("gpc", f"DAC horizon H={H} {why} ({source} stability "
-                         "constants); lower it with the H override or use "
-                         "certified stability")
+                         f"constants); lower it with the H override{remedy}")
     try:
         gpc = gpc_run(plant, recovery.K, kappa_star, gamma_use, H, eta,
                       T_gpc, A_p3, B_p3)

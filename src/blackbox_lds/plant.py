@@ -43,7 +43,8 @@ class BlackBoxPlant:
     no resets. `simulation_mode` gates post-hoc introspection (true system,
     disturbance history) used for verification; an opaque deployment would
     construct the plant with simulation_mode=False. An initial state x1
-    that is not d_x long raises DimensionMismatchError("x1").
+    that is not d_x long raises DimensionMismatchError("x1"), one with a
+    NaN or an infinity ConfigError("x1").
     """
 
     def __init__(self, sys: LinearSystem, disturbance: DisturbanceSource,
@@ -56,6 +57,8 @@ class BlackBoxPlant:
         x1 = np.asarray(x1, dtype=float).reshape(-1)
         if x1.shape != (sys.d_x,):
             raise DimensionMismatchError("x1", (sys.d_x,), x1.shape)
+        if not np.isfinite(x1).all():
+            raise ConfigError("x1", "the initial state must be finite")
         self._x = x1.copy()
         self._t = 1
         self._log = RunLog(sys.d_x, sys.d_u, seed=seed)

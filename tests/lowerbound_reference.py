@@ -2,9 +2,15 @@
 certainty-equivalent controller that rebuilds X and Y from the history and
 forms A_hat = Y pinv(X), the escape direction taken from the full
 I - rows'rows, the subspace tracker that re-stacks its basis and measures
-the residual again on every extend, and the deterministic adversary that restacks its Q and V rows every
-round and takes ||Q'V|| by SVD. The growable-buffer paths in
-blackbox_lds.lowerbound are checked against them."""
+the residual again on every extend, the randomized trial and the
+deterministic adversary that keep one (x_t, u_t) pair per round in Python
+lists and sum the cost ||x_t||^2 + ||u_t||^2 themselves, the latter
+restacking its Q and V rows every round and taking ||Q'V|| by SVD. The
+growable-buffer and run-log paths in blackbox_lds.lowerbound are checked
+against them."""
+
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -12,9 +18,28 @@ from blackbox_lds.errors import (
     ConstructionDriftError,
     NonDeterministicControllerError,
 )
-from blackbox_lds.lowerbound import AdversaryTranscript, TranscriptStep, _sign
+from blackbox_lds.lowerbound import _sign, sample_gaussian_system
 
 _ORTHO_TOL = 1e-10
+
+
+@dataclass
+class RefTranscript:
+    """An attack's rounds as lists: xs[t-1], us[t-1] and h_sq[t-1] are x_t,
+    u_t and ||h_t||^2 (or (c_t^t)^2) of round t."""
+
+    d_x: int
+    xs: list
+    us: list
+    h_sq: list
+    total_cost: float
+    final_state_norm: float
+    system_norm: float
+    V: Optional[np.ndarray] = None
+    Q: Optional[np.ndarray] = None
+    c_diag: list = field(default_factory=list)
+    a_next: list = field(default_factory=list)
+    d_signs: list = field(default_factory=list)
 
 
 class RefSubspaceTracker:
@@ -71,6 +96,33 @@ def ref_certainty_equivalent_controller():
     return act
 
 
+def ref_randomized_lb_trial(controller_factory, d_x, gamma=40.0, seed=0):
+    A = sample_gaussian_system(d_x, gamma, seed)
+    controller = controller_factory()
+    T = max(d_x // 8, 1)
+    tracker = RefSubspaceTracker(d_x)
+    x = np.zeros(d_x)
+    x[0] = 1.0
+    history = [x.copy()]
+    xs, us, h_sq = [], [], []
+    total_cost = 0.0
+    for t in range(1, T + 1):
+        h = tracker.residual(x)
+        h_sq.append(float(h @ h))
+        u = np.asarray(controller(history), dtype=float).reshape(-1)
+        total_cost += float(x @ x + u @ u)
+        xs.append(x.copy())
+        us.append(u.copy())
+        tracker.extend(x)
+        tracker.extend(u)
+        if t < T:
+            x = A @ x + u
+            history.append(x.copy())
+    return RefTranscript(d_x=d_x, xs=xs, us=us, h_sq=h_sq, total_cost=total_cost,
+                         final_state_norm=float(np.linalg.norm(x)),
+                         system_norm=float(np.linalg.norm(A, 2)))
+
+
 def ref_deterministic_adversary(controller_factory, d_x):
     if d_x < 2:
         raise ValueError("d_x must be >= 2")
@@ -85,7 +137,7 @@ def ref_deterministic_adversary(controller_factory, d_x):
     x = np.zeros(d_x)
     x[0] = 1.0
     history = [x.copy()]
-    steps = []
+    xs, us = [], []
     total_cost = 0.0
     for t in range(1, d_x):
         u = np.asarray(controller(history), dtype=float).reshape(-1)
@@ -111,16 +163,16 @@ def ref_deterministic_adversary(controller_factory, d_x):
         d_signs.append(d_t)
         a_next.append(a_t)
         total_cost += float(x @ x + u @ u)
-        steps.append(TranscriptStep(t=t, x=x.copy(), u=u.copy(),
-                                    h_sq=c_t**2, doubled=None))
+        xs.append(x.copy())
+        us.append(u.copy())
         coords = V_rows @ x
         x = np.array(Q_rows).T @ coords + u
         V_rows = np.vstack([V_rows, y])
         history.append(x.copy())
         c_diag.append(c_t * d_t + a_t)
     total_cost += float(x @ x)  # terminal state cost, zero-control round
-    steps.append(TranscriptStep(t=d_x, x=x.copy(), u=np.zeros(d_x),
-                                h_sq=c_diag[-1] ** 2, doubled=None))
+    xs.append(x.copy())
+    us.append(np.zeros(d_x))
     measured = float(V_rows[d_x - 1] @ x)
     if abs(measured - c_diag[-1]) > 1e-6 * max(1.0, abs(c_diag[-1])):
         raise ConstructionDriftError(
@@ -130,12 +182,8 @@ def ref_deterministic_adversary(controller_factory, d_x):
     d_signs.append(2.0)
     V = V_rows
     Q = np.array(Q_rows)
-    D = np.diag(d_signs)
-    P = np.zeros((d_x, d_x))
-    for i in range(d_x):
-        P[i, (i + 1) % d_x] = 1.0
-    return AdversaryTranscript(
-        kind="deterministic", d_x=d_x, steps=steps,
+    return RefTranscript(
+        d_x=d_x, xs=xs, us=us, h_sq=[c**2 for c in c_diag], total_cost=total_cost,
         final_state_norm=float(np.linalg.norm(x)),
-        total_cost=total_cost, system_norm=float(np.linalg.norm(Q.T @ V, 2)),
-        V=V, Q=Q, D=D, P=P, c_diag=c_diag, a_next=a_next, d_signs=d_signs)
+        system_norm=float(np.linalg.norm(Q.T @ V, 2)),
+        V=V, Q=Q, c_diag=c_diag, a_next=a_next, d_signs=d_signs)

@@ -279,10 +279,10 @@ def test_criterion_10_randomized_lower_bound():
     norm_trials = 0
     for seed in range(100):
         tr = randomized_lb_trial(zero_controller, d_x, gamma, seed=seed)
-        assert len(tr.steps) == 25
+        assert len(tr.log) == 25
         if tr.all_doubled:
             doubling_trials += 1
-            if tr.final_state_norm**2 < 2.0 ** (len(tr.steps) - 1):
+            if tr.final_state_norm**2 < 2.0 ** (len(tr.log) - 1):
                 growth_ok = False
         if tr.system_norm <= 3 * math.sqrt(gamma):
             norm_trials += 1

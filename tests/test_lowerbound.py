@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from blackbox_lds.errors import (
     NonDeterministicControllerError,
     NonFiniteValueError,
 )
+from blackbox_lds import cli
 from blackbox_lds import lowerbound as lb
 from blackbox_lds.lowerbound import (
     BUILTIN_CONTROLLERS,
@@ -30,6 +32,7 @@ from lowerbound_reference import (
     RefSubspaceTracker,
     ref_certainty_equivalent_controller,
     ref_deterministic_adversary,
+    ref_randomized_lb_trial,
     ref_unit_outside_span,
 )
 
@@ -203,14 +206,14 @@ class TestRandomizedTrial:
     def test_reproducible_from_seed(self):
         a = randomized_lb_trial(zero_controller, 64, 40.0, seed=5)
         b = randomized_lb_trial(zero_controller, 64, 40.0, seed=5)
-        assert all(np.array_equal(x.x, y.x) and np.array_equal(x.u, y.u)
-                   for x, y in zip(a.steps, b.steps))
+        assert np.array_equal(a.log.states(), b.log.states())
+        assert np.array_equal(a.log.controls(), b.log.controls())
         assert a.total_cost == b.total_cost
 
     def test_boundary_dimension(self):
         t = randomized_lb_trial(zero_controller, 8, 40.0, seed=1)
-        assert len(t.steps) == 1
-        assert t.steps[0].h_sq == pytest.approx(1.0)
+        assert len(t.log) == 1
+        assert t.h_sq[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("factory", [zero_controller,
                                          negative_identity_controller])
@@ -220,7 +223,7 @@ class TestRandomizedTrial:
             t = randomized_lb_trial(factory, 200, 40.0, seed=seed)
             if t.all_doubled:
                 ok += 1
-                T = len(t.steps)
+                T = len(t.log)
                 assert t.final_state_norm**2 >= 2.0 ** (T - 1)
         assert ok >= 19
 
@@ -236,12 +239,12 @@ class TestRandomizedTrial:
 
         monkeypatch.setattr(SubspaceTracker, "residual", counting)
         t = randomized_lb_trial(frozen_random_controller, 80, 40.0, seed=3)
-        assert len(t.steps) == 10
-        assert len(calls) == 2 * len(t.steps)
+        assert len(t.log) == 10
+        assert len(calls) == 2 * len(t.log)
 
     def test_first_residual_is_initial_state(self):
         t = randomized_lb_trial(zero_controller, 40, 40.0, seed=2)
-        assert t.steps[0].h_sq == pytest.approx(1.0)
+        assert t.h_sq[0] == pytest.approx(1.0)
 
 
 class TestDeterministicAdversary:
@@ -265,19 +268,21 @@ class TestDeterministicAdversary:
     def test_v_orthonormal_and_q_factorization(self):
         for name in sorted(BUILTIN_CONTROLLERS):
             t = deterministic_adversary(BUILTIN_CONTROLLERS[name], 10)
+            D = np.diag(t.d_signs)
+            P = np.roll(np.eye(10), 1, axis=1)  # P[i, i+1 mod d_x] = 1
             assert np.linalg.norm(t.V @ t.V.T - np.eye(10)) <= 1e-10
-            assert np.linalg.norm(t.Q - t.D @ t.P @ t.V) <= 1e-10
+            assert np.linalg.norm(t.Q - D @ P @ t.V) <= 1e-10
 
     def test_trajectory_replays_through_assembled_system(self):
         t = deterministic_adversary(certainty_equivalent_controller, 8)
         M = t.Q.T @ t.V
+        X, U = t.log.states(), t.log.controls()
         x = np.zeros(8)
         x[0] = 1.0
-        for i, s in enumerate(t.steps[:-1]):
-            assert np.allclose(x, s.x, atol=1e-8 * max(1.0, np.linalg.norm(s.x)))
-            x = M @ x + s.u
-        assert np.allclose(x, t.steps[-1].x,
-                           atol=1e-8 * np.linalg.norm(t.steps[-1].x))
+        for x_t, u_t in zip(X[:-1], U[:-1]):
+            assert np.allclose(x, x_t, atol=1e-8 * max(1.0, np.linalg.norm(x_t)))
+            x = M @ x + u_t
+        assert np.allclose(x, X[-1], atol=1e-8 * np.linalg.norm(X[-1]))
 
     def test_nondeterministic_controller_rejected(self):
         def noisy_factory():
@@ -356,8 +361,8 @@ class TestDeterministicAdversary:
         want = deterministic_adversary(lambda: reading, 8)
         assert got.c_diag == want.c_diag and got.a_next == want.a_next
         assert got.total_cost == want.total_cost
-        for a, b in zip(got.steps, want.steps, strict=True):
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+        assert np.array_equal(got.log.states(), want.log.states())
+        assert np.array_equal(got.log.controls(), want.log.controls())
 
     @pytest.mark.parametrize("name", ["zero", "negative_identity",
                                       "certainty_equivalent"])
@@ -381,7 +386,7 @@ class TestDeterministicAdversary:
     def test_frozen_random_is_deterministic(self):
         a = deterministic_adversary(frozen_random_controller, 8)
         b = deterministic_adversary(frozen_random_controller, 8)
-        assert np.array_equal(a.steps[-1].x, b.steps[-1].x)
+        assert np.array_equal(a.log.states()[-1], b.log.states()[-1])
 
     def test_drift_is_a_typed_error(self):
         # frozen_random at d_x = 200 is the known drifting instance (recursion
@@ -398,12 +403,18 @@ class TestDeterministicAdversary:
 
 def _recorded_ce_history(d_x, seed):
     t = randomized_lb_trial(certainty_equivalent_controller, d_x, 40.0, seed=seed)
-    return [s.x for s in t.steps]
+    return list(t.log.states())
 
 
 def _deterministic_ce_history(d_x):
     t = deterministic_adversary(certainty_equivalent_controller, d_x)
-    return [s.x for s in t.steps]
+    return list(t.log.states())
+
+
+def _doubled(h_sq):
+    # round t's flag: ||h_{t+1}||^2 >= 2 ||h_t||^2 (none for the last round)
+    with np.errstate(over="ignore"):
+        return h_sq[1:] >= 2.0 * h_sq[:-1]
 
 
 class TestAgainstReference:
@@ -459,7 +470,7 @@ class TestAgainstReference:
         t = randomized_lb_trial(certainty_equivalent_controller, 200, 40.0,
                                 seed=45)
         # one call per controller call after the first, whose fit is empty
-        assert len(calls) == len(t.steps) - 1 == 24
+        assert len(calls) == len(t.log) - 1 == 24
 
     def test_certainty_equivalent_rejects_a_skipped_state(self):
         act = certainty_equivalent_controller()
@@ -509,12 +520,15 @@ class TestAgainstReference:
         assert new.total_cost == ref.total_cost
         assert new.system_norm == ref.system_norm
         assert _close_to_svd_norm(new.A, new.system_norm)
-        for a, b in zip(new.steps, ref.steps, strict=True):
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
-            # h_sq / ||x||^2 reaches 5e-15, so only an absolute bound means
-            # anything
-            assert abs(a.h_sq - b.h_sq) <= 1e-12 * float(a.x @ a.x)
-            assert a.doubled == b.doubled
+        X = new.log.states()
+        assert np.array_equal(X, ref.log.states())
+        assert np.array_equal(new.log.controls(), ref.log.controls())
+        assert len(new.h_sq) == len(ref.h_sq) == len(X)
+        # h_sq / ||x||^2 reaches 5e-15, so only an absolute bound means
+        # anything
+        for a, b, x in zip(new.h_sq, ref.h_sq, X):
+            assert abs(a - b) <= 1e-12 * float(x @ x)
+        assert np.array_equal(_doubled(new.h_sq), _doubled(ref.h_sq))
 
     @pytest.mark.parametrize("d_x", [40, 150, 200])
     def test_deterministic_coefficients(self, d_x):
@@ -537,8 +551,8 @@ class TestAgainstReference:
             assert new.d_signs == ref.d_signs
             assert new.a_next == ref.a_next
             assert new.total_cost == ref.total_cost
-            for a, b in zip(new.steps, ref.steps, strict=True):
-                assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+            assert np.array_equal(new.log.states(), np.array(ref.xs))
+            assert np.array_equal(new.log.controls(), np.array(ref.us))
             assert np.array_equal(new.V, ref.V) and np.array_equal(new.Q, ref.Q)
             assert abs(new.system_norm - ref.system_norm) \
                 <= 64 * EPS * ref.system_norm
@@ -553,7 +567,66 @@ class TestAgainstReference:
                                   seed=seed)
         ref = randomized_lb_trial(ref_certainty_equivalent_controller, d_x, 40.0,
                                   seed=seed)
-        assert [s.doubled for s in new.steps] == [s.doubled for s in ref.steps]
-        threshold = 2.0 ** (len(new.steps) - 1)
+        assert np.array_equal(_doubled(new.h_sq), _doubled(ref.h_sq))
+        threshold = 2.0 ** (len(new.log) - 1)
         assert (new.final_state_norm**2 >= threshold) \
             == (ref.final_state_norm**2 >= threshold)
+
+
+def _render_steps_csv(ref, phase):
+    """steps.csv of a reference transcript as the CLI wrote it before the
+    harnesses logged into a RunLog: per round, np.linalg.norm of x_t and u_t,
+    the cost x_t.x_t + u_t.u_t and the running cost, each as %.17g."""
+    lines = ["t,phase,state_norm,control_norm,cost,cumulative_cost"]
+    running = 0.0
+    for t, (x, u) in enumerate(zip(ref.xs, ref.us, strict=True), 1):
+        cost = float(x @ x + u @ u)
+        running += cost
+        numbers = (np.linalg.norm(x), np.linalg.norm(u), cost, running)
+        lines.append(f"{t},{phase}," + ",".join(format(float(v), ".17g")
+                                                for v in numbers))
+    return "\n".join(lines) + "\n"
+
+
+_HARNESSES = {
+    "lowerbound-rand": (lambda f, d_x: randomized_lb_trial(f, d_x, 40.0, seed=3),
+                        lambda f, d_x: ref_randomized_lb_trial(f, d_x, 40.0, seed=3)),
+    "lowerbound-det": (deterministic_adversary, ref_deterministic_adversary),
+}
+
+
+class TestRunLogRecord:
+    """Both harnesses log into lds.RunLog, and the CLI writes steps.csv from
+    it alone; the reference keeps its rounds in lists and sums its own cost."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CONTROLLERS))
+    @pytest.mark.parametrize("subcommand", sorted(_HARNESSES))
+    def test_steps_csv_is_the_reference_rendering(self, tmp_path, subcommand,
+                                                  name):
+        d_x = 20
+        cfg = {"experiment": subcommand, "d_x": d_x, "controller": name, "seed": 3}
+        cli.dispatch(subcommand, cfg, str(tmp_path))
+        ref = _HARNESSES[subcommand][1](BUILTIN_CONTROLLERS[name], d_x)
+        assert (tmp_path / "steps.csv").read_bytes() \
+            == _render_steps_csv(ref, subcommand).encode()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["total_cost"] == summary["cumulative_cost"] == ref.total_cost
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CONTROLLERS))
+    @pytest.mark.parametrize("subcommand,d_x,rounds", [
+        ("lowerbound-rand", 80, 10), ("lowerbound-det", 20, 20)])
+    def test_log_rounds_phases_and_cost(self, subcommand, d_x, rounds, name):
+        harness, reference = _HARNESSES[subcommand]
+        t = harness(BUILTIN_CONTROLLERS[name], d_x)
+        ref = reference(BUILTIN_CONTROLLERS[name], d_x)
+        log = t.log
+        assert len(log) == len(t.h_sq) == rounds  # T = d_x / 8, or d_x
+        assert log.phases == [subcommand] * rounds
+        assert log.cumulative_cost == t.total_cost == ref.total_cost
+        assert log.phase_costs == {subcommand: ref.total_cost}
+        assert log.costs().tolist() == [float(x @ x + u @ u)
+                                        for x, u in zip(ref.xs, ref.us)]
+        assert np.array_equal(log.states(), np.array(ref.xs))
+        assert np.array_equal(log.controls(), np.array(ref.us))
+        assert np.array_equal(log.disturbances(), np.zeros((rounds, d_x)))
+        assert t.final_state_norm == ref.final_state_norm

@@ -187,6 +187,8 @@ class TestRunPipeline:
         error, peak, _ = self._gpc_refusal(T, overrides, certified)
         message = str(error)
         assert "H override" in message and "certified stability" in message
+        # certified stability is offered only where it is not already used
+        assert ("or use certified stability" in message) == (not certified)
         assert f"H={overrides.get('H', 19642)}" in message
         assert peak < 64 * 2**20
 
@@ -203,6 +205,7 @@ class TestRunPipeline:
         message = str(error)
         assert f"H={H}" in message and "MiB budget" in message
         assert "H override" in message
+        assert ("or use certified stability" in message) == (not certified)
         assert peak < 64 * 2**20
 
     def test_decay_terminal_bound(self):

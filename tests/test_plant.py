@@ -46,6 +46,14 @@ class TestBlackBoxContract:
         with pytest.raises(DimensionMismatchError, match="control"):
             plant.apply([1.0, 2.0], phase="sim")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x1_is_a_config_error(self, bad):
+        # named at construction, not on round 1 as NonFiniteValueError("cost", 1)
+        sys = LinearSystem([[0.5, 0.0], [0.0, 0.5]], [[1.0], [0.0]])
+        with pytest.raises(ConfigError) as err:
+            BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [0.0, bad])
+        assert err.value.path == "x1"
+
     def test_nonfinite_control_rejected_with_round(self):
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, ZeroDisturbance(), QUAD, [1.0])
