@@ -411,11 +411,15 @@ def _lyapunov(F: np.ndarray) -> np.ndarray:
     P = P P, from X = I and P = F) until a doubling leaves X unchanged;
     CertificateError if X overflows or 64 doublings do not settle it."""
     X, P = np.eye(len(F)), F
-    for _ in range(64):
-        X_next = X + P @ X @ P.T
-        if np.array_equal(X_next, X) and np.isfinite(X).all():
-            return 0.5 * (X + X.T)
-        X, P = X_next, P @ P
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for _ in range(64):
+            X_next = X + P @ X @ P.T
+            if not np.isfinite(X_next).all():
+                raise CertificateError(
+                    "certificate not found: the Lyapunov sum overflows")
+            if np.array_equal(X_next, X):
+                return 0.5 * (X + X.T)
+            X, P = X_next, P @ P
     raise CertificateError("certificate not found: the Lyapunov sum does not settle")
 
 

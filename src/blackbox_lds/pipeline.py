@@ -21,7 +21,8 @@ from .lds import PriorBounds, RunLog
 from .nsc import GpcResult, HindsightResult, best_dac_in_hindsight, gpc_run
 from .plant import BlackBoxPlant
 from .stabilize import RecoveryConstants, RecoveryResult, controller_recovery, decay
-from .sysid import EstimateBundle, adv_sys_id, epsilon_zero, probe_horizon, probe_plan
+from .sysid import (EstimateBundle, adv_sys_id, closed_loop_sys_id, epsilon_zero,
+                    probe_horizon, probe_plan)
 
 # Memory phase 3 may take for its (H+1) x H gather index and the (H+1) x H
 # x d_x window stack it builds every round.
@@ -174,6 +175,7 @@ class PipelineReport:
     constants: PhaseConstants
     prior: PriorBounds
     estimates: EstimateBundle
+    gpc_model: tuple  # the (A_hat, B_hat) phase 3 ran on
     recovery: RecoveryResult
     stability_used: dict  # kappa/gamma actually used for decay + phase 3
     phase_costs: dict
@@ -212,6 +214,9 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     stacks would exceed GPC_STACK_BUDGET, raises PhaseError("gpc") before
     phase 3 allocates anything; the worst-case constants give such an H
     (about 19600 on a scalar plant at T = 10000, 20840 at T = 40000).
+    With reidentify, phase 3 first spends min(T0, T3 // 2) rounds (checked
+    with H first) on sysid.closed_loop_sys_id and runs GPC on its (A_hat,
+    B_hat); a failure there raises PhaseError("reidentify").
     """
     G = plant.cost_scale
     cst = derive_constants(prior.k, prior.kappa, prior.beta, plant.d_x,
@@ -265,11 +270,8 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     stability_used = {"kappa": kappa_use, "gamma": gamma_use, "source": source,
                       "kappa_star": kappa_star, "W": W, "H": H, "eta": eta}
 
-    A_p3, B_p3 = bundle.A_hat, bundle.B_hat
-    T_gpc = T3
-    if reidentify:
-        A_p3, B_p3, spent = _reidentify(plant, recovery.K, cst.T0, T3, seed)
-        T_gpc = T3 - spent
+    spent = min(cst.T0, max(T3 // 2, 1)) if reidentify else 0
+    T_gpc = T3 - spent
     stack_bytes = 8 * (H + 1) * H * (plant.d_x + 1)
     if H > T_gpc or stack_bytes > GPC_STACK_BUDGET:
         why = (f"exceeds the {T_gpc} rounds left for GPC" if H > T_gpc else
@@ -278,9 +280,15 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         remedy = "" if use_certified_stability else " or use certified stability"
         raise PhaseError("gpc", f"DAC horizon H={H} {why} ({source} stability "
                          f"constants); lower it with the H override{remedy}")
+    model = bundle.A_hat, bundle.B_hat
+    if reidentify:
+        try:
+            model = closed_loop_sys_id(plant, recovery.K, prior.k, spent, seed)
+        except Exception as exc:
+            raise PhaseError("reidentify", str(exc)) from exc
     try:
         gpc = gpc_run(plant, recovery.K, kappa_star, gamma_use, H, eta,
-                      T_gpc, A_p3, B_p3)
+                      T_gpc, *model)
     except Exception as exc:
         raise PhaseError("gpc", str(exc)) from exc
 
@@ -299,33 +307,11 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         regret_value = total - comparator.cost
 
     return PipelineReport(
-        constants=cst, prior=prior, estimates=bundle, recovery=recovery,
-        stability_used=stability_used, phase_costs=phase_costs,
+        constants=cst, prior=prior, estimates=bundle, gpc_model=model,
+        recovery=recovery, stability_used=stability_used, phase_costs=phase_costs,
         total_cost=total, log=log, decay_steps=dec.steps, gpc_steps=T_gpc,
         x_after_sysid_norm=float(np.linalg.norm(x_after_sysid)),
         x_after_decay_norm=float(np.linalg.norm(dec.x_final)),
         simulation_mode=plant.simulation_mode, comparator=comparator,
         regret_value=regret_value, gpc_result=gpc, seed=seed)
 
-
-def _reidentify(plant: BlackBoxPlant, K, T0: int, T3: int, seed):
-    """Optional phase-3 re-identification: stabilized unit-sign probing for
-    T0 rounds, then joint least squares on the residual transitions."""
-    budget = min(T0, max(T3 // 2, 1))
-    rng = np.random.default_rng(seed if seed is not None else 0)
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    xs, us, xn = [], [], []
-    x = plant.state
-    for _ in range(budget):
-        probe = rng.choice([-1.0, 1.0], size=plant.d_u)
-        u = K @ x + probe
-        outcome = plant.apply(u, phase="reidentify")
-        xs.append(x)
-        us.append(u)
-        x = outcome.x_next
-        xn.append(x)
-    Z = np.hstack([np.array(xs), np.array(us)])  # (budget, d_x + d_u)
-    Y = np.array(xn)
-    theta, *_ = np.linalg.lstsq(Z, Y, rcond=None)
-    AB = theta.T
-    return AB[:, : plant.d_x], AB[:, plant.d_x:], budget

@@ -1,11 +1,13 @@
-"""Phase 1: robust identification of (A, B) from a single trajectory.
+"""Identification of (A, B) from a single trajectory: impulse-block estimates
+M_j ~ A^j B, j = 0..k, give B_hat = M_0 and A_hat from X [M_0 ... M_{k-1}] =
+[M_1 ... M_k], in one function (from_blocks) for both phases that identify.
 
-The probing schedule injects exponentially scaled basis-vector controls, one
-input direction every k+1 rounds, with zero controls in between. Because each
-probe dwarfs everything the bounded adversarial noise (and earlier probes)
-contributed, the normalized responses recover the impulse blocks A^j B to an
-accuracy linear in the base scale eps0, and A itself from the overdetermined
-system X C_0 = C_1.
+Phase 1 (adv_sys_id) injects exponentially scaled basis-vector controls, one
+input direction every k+1 rounds, with zero controls in between. Each probe
+dwarfs everything the bounded adversarial noise (and earlier probes)
+contributed, so the normalized responses are the blocks to an accuracy linear
+in eps0. Phase 3 (closed_loop_sys_id) correlates the states with random +-1
+probes played on top of a stabilizing K, which estimates the blocks of A + BK.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -71,11 +72,9 @@ class EstimateBundle:
     """Identification output: impulse-block estimates and derived (A, B)."""
 
     M_hat: list  # M_hat[j] estimates A^j B, j = 0..k
-    C0: np.ndarray  # [M_0 ... M_{k-1}]
-    C1: np.ndarray  # [M_1 ... M_k]
+    A_hat: np.ndarray
     B_hat: np.ndarray
     x_final: np.ndarray
-    A_hat: Optional[np.ndarray] = None
 
 
 def epsilon_zero(eps: float, d_u: int, k: int, lam: float, d_x: int,
@@ -118,12 +117,9 @@ def probe_plan(k: int, d_u: int, lam: float, eps0: float) -> ProbePlan:
 
 
 def assemble_estimates(states, plan: ProbePlan) -> EstimateBundle:
-    """Build M_hat_j, C0, C1 from the recorded states x_1..x_{(k+1)d_u + 1}.
-
-    The response to probe i observed j+1 rounds later sits at
-    x_{(i-1)(k+1) + j + 2}; dividing by xi_i isolates column i of A^j B.
-    A_hat is left unset; see solve_A.
-    """
+    """M_hat_j, and (A_hat, B_hat) from them, from the recorded states
+    x_1..x_{(k+1)d_u + 1}: the response to probe i observed j+1 rounds later
+    sits at x_{(i-1)(k+1) + j + 2}; dividing by xi_i gives column i of A^j B."""
     k, d_u = plan.k, plan.d_u
     need = plan.horizon + 1
     if len(states) < need:
@@ -137,10 +133,7 @@ def assemble_estimates(states, plan: ProbePlan) -> EstimateBundle:
             l = (i - 1) * (k + 1) + j + 2
             cols[:, i - 1] = states[l - 1] / plan.xi[i - 1]
         M_hat.append(cols)
-    C0 = np.hstack(M_hat[:k])
-    C1 = np.hstack(M_hat[1:])
-    return EstimateBundle(M_hat=M_hat, C0=C0, C1=C1, B_hat=M_hat[0].copy(),
-                          x_final=states[need - 1].copy())
+    return EstimateBundle(M_hat, *from_blocks(M_hat), states[need - 1].copy())
 
 
 def solve_A(C0: np.ndarray, C1: np.ndarray) -> np.ndarray:
@@ -154,6 +147,12 @@ def solve_A(C0: np.ndarray, C1: np.ndarray) -> np.ndarray:
             "estimates not controllable; increase eps accuracy or check k, kappa")
     gram = C0 @ C0.T
     return np.linalg.solve(gram, C0 @ C1.T).T
+
+
+def from_blocks(M_hat) -> tuple:
+    """(A_hat, B_hat) from impulse-block estimates M_hat[j] ~ A^j B, j = 0..k:
+    B_hat = M_0 and A_hat = solve_A([M_0 ... M_{k-1}], [M_1 ... M_k])."""
+    return solve_A(np.hstack(M_hat[:-1]), np.hstack(M_hat[1:])), M_hat[0].copy()
 
 
 def adv_sys_id(plant: BlackBoxPlant, eps: float, lam: float, k: int,
@@ -173,6 +172,25 @@ def adv_sys_id(plant: BlackBoxPlant, eps: float, lam: float, k: int,
     states = [x_now]
     for t in range(1, plan.horizon + 1):
         states.append(plant.apply(plan.control_at(t), phase="sysid").x_next)
-    bundle = assemble_estimates(states, plan)
-    bundle.A_hat = solve_A(bundle.C0, bundle.C1)
-    return bundle
+    return assemble_estimates(states, plan)
+
+
+def closed_loop_sys_id(plant: BlackBoxPlant, K, k: int, rounds: int, seed) -> tuple:
+    """Identify (A, B) again under a stabilizing K: play u_t = K x_t + eta_t,
+    eta_t uniform on {-1, 1}^{d_u} from default_rng(seed or 0), for `rounds`
+    rounds (at least k + 1). N_j = mean_t x_{t+j+1} eta_t' estimates
+    (A + BK)^j B, j = 0..k, unbiased when w is oblivious (eta_t is independent
+    of it and of x_t); from_blocks gives (A + BK, B), and A_hat = (A + BK)_hat
+    - B_hat K (Hazan, Kakade & Singh, ALT 2020)."""
+    if rounds < k + 1:
+        raise ValueError(f"{rounds} probing rounds cannot estimate {k + 1} blocks")
+    rng = np.random.default_rng(seed or 0)
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    xs, etas = [plant.state], []
+    for _ in range(rounds):
+        etas.append(rng.choice([-1.0, 1.0], size=plant.d_u))
+        xs.append(plant.apply(K @ xs[-1] + etas[-1], phase="reidentify").x_next)
+    X, E = np.array(xs), np.array(etas)
+    N = [X[j + 1:].T @ E[:rounds - j] / (rounds - j) for j in range(k + 1)]
+    F_hat, B_hat = from_blocks(N)
+    return F_hat - B_hat @ K, B_hat

@@ -280,6 +280,18 @@ class TestSchemaValidation:
         assert err["error"]["phase"] == "sysid"
         assert err["error"]["reason"] is None  # not a phase-2 rejection
 
+    def test_reidentify_error_names_its_phase(self, tmp_path, capsys):
+        # one probing round cannot estimate the k + 1 = 2 impulse blocks
+        cfg = _replaced(_replaced(PIPELINE_CFG, "options.reidentify", True),
+                        "overrides.T0", 1)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["kind"], err["phase"], err["reason"]) == ("runtime", "reidentify",
+                                                              None)
+        assert not out.exists()
+
     @pytest.mark.parametrize("path,value", [
         ("prior.kappa", 1e200),  # C = 3 kappa^2 k^2 beta^(6k) overflows
         ("overrides.kappa_star", 1e300),  # H's kappa*^2 T overflows

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,19 @@ class TestCertify:
             ref = linalg.solve_discrete_lyapunov(F, np.eye(len(F)))
             assert np.linalg.norm(X - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
             assert np.array_equal(X, X.T)
+
+    def test_overflowing_sum_is_refused_without_a_warning(self):
+        # a dense 4x4 Jordan block at rho = 0.999: the doubling overflows,
+        # which surfaced as "RuntimeWarning: overflow encountered in matmul"
+        # (four of them without the suite's filter) before CertificateError.
+        # No warning is suppressed here: any warning fails the test.
+        Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+        F = Q @ (0.999 * np.eye(4) + np.eye(4, k=1)) @ Q.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CertificateError, match="Lyapunov sum overflows"):
+                certify_strong_stability(LinearSystem(F, np.zeros((4, 1))),
+                                         np.zeros((1, 4)))
 
 
 class TestPriorBounds:

@@ -21,6 +21,7 @@ from blackbox_lds.errors import (
 )
 from blackbox_lds import cli
 from blackbox_lds import lowerbound as lb
+from blackbox_lds.lds import RunLog
 from blackbox_lds.lowerbound import (
     BUILTIN_CONTROLLERS,
     certainty_equivalent_controller,
@@ -245,6 +246,15 @@ class TestRandomizedTrial:
     def test_first_residual_is_initial_state(self):
         t = randomized_lb_trial(zero_controller, 40, 40.0, seed=2)
         assert t.h_sq[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("h_sq,doubled", [([1.0, 2.0, 4.0], True),
+                                              ([1.0, 2.0, 3.9], False)])
+    def test_all_doubled_means_at_least_doubles(self, h_sq, doubled):
+        # the paper's ||h_{t+1}||^2 >= 2 ||h_t||^2: an exact doubling counts,
+        # so `>` in place of `>=` fails the first case
+        t = lb.AdversaryTranscript(d_x=3, log=RunLog(3, 3), h_sq=np.array(h_sq),
+                                   final_state_norm=2.0)
+        assert t.all_doubled is doubled
 
 
 class TestDeterministicAdversary:

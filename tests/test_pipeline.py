@@ -8,6 +8,7 @@ import pytest
 from blackbox_lds import (
     BlackBoxPlant,
     CostFunction,
+    DisturbanceSource,
     LinearSystem,
     PriorBounds,
     ReplayDisturbance,
@@ -17,7 +18,8 @@ from blackbox_lds import (
     run_pipeline,
     step,
 )
-from blackbox_lds.errors import ConfigError, PhaseError, ProbeScalingError
+from blackbox_lds.errors import (ConfigError, NotControllableError, PhaseError,
+                                 ProbeScalingError)
 from blackbox_lds.pipeline import GPC_STACK_BUDGET
 from blackbox_lds.stabilize import RecoveryConstants
 from blackbox_lds.sysid import epsilon_zero, probe_plan
@@ -290,8 +292,6 @@ class TestRunPipeline:
         # disturbances exceeding the unit-ball assumption wreck the estimates,
         # so the recovered controller fails to contract the true system and
         # the decay guard must surface the prior-violation diagnostic
-        from blackbox_lds import DisturbanceSource
-
         class HugeNoise(DisturbanceSource):
             def __call__(self, t, x):
                 return np.array([3e4 * (-1.0) ** t])
@@ -324,6 +324,75 @@ class TestRunPipeline:
         assert phases.count("gpc") == report.gpc_steps == T3 - spent
         assert sum(report.phase_costs.values()) == pytest.approx(
             report.total_cost, rel=1e-12)
+        # phase 3 ran on the correlation estimate from these 55 rounds: 0.155
+        # from the truth, where joint least squares on them gave 0.358
+        A_p3, B_p3 = report.gpc_model
+        assert np.linalg.norm(np.hstack([A_p3 - sys.A, B_p3 - sys.B]), 2) <= 0.2
+        # the probing rounds play u_t = K x_t + eta_t, eta_t drawn one round at
+        # a time from default_rng(seed), bitwise: the controls do not depend
+        # on the estimator
+        rounds = np.flatnonzero(np.array(phases) == "reidentify")
+        rng = np.random.default_rng(5)
+        K = report.recovery.K
+        for x, u in zip(report.log.states()[rounds], report.log.controls()[rounds]):
+            assert np.array_equal(u, K @ x + rng.choice([-1.0, 1.0], size=1))
+
+    def _reidentify_run(self, dist=None, T=400, **overrides):
+        # test_reidentify_mode's config; its probing rounds are 33 .. 87
+        sys = LinearSystem([[0.5]], [[1.0]])
+        plant = BlackBoxPlant(sys, dist or SinusoidalDisturbance(1, omega=0.2),
+                              QUAD, [0.0], seed=5)
+        with pytest.raises(PhaseError) as err:
+            run_pipeline(plant, PriorBounds(1, 1.0, 1.0), T,
+                         overrides={"eps": 1e-3, **overrides},
+                         use_certified_stability=True, reidentify=True,
+                         comparator_iters=40, seed=5)
+        return plant, err.value
+
+    def test_reidentify_nonfinite_state_is_phase_tagged(self):
+        # it escaped as a bare "non-finite state at step 36"
+        sinusoid = SinusoidalDisturbance(1, omega=0.2)
+
+        class InfFrom35(DisturbanceSource):
+            def __call__(self, t, x):
+                return np.array([np.inf]) if t >= 35 else sinusoid(t, x)
+
+        plant, err = self._reidentify_run(InfFrom35())
+        assert err.phase == "reidentify"
+        assert str(err.__cause__) == "non-finite state at step 36"
+        assert plant.log.phases.count("reidentify") == 2  # rounds 33 and 34
+
+    def test_reidentify_rank_deficient_blocks_are_phase_tagged(self, monkeypatch):
+        # the first solve is phase 1's; the second, on the correlation
+        # blocks, finds them rank deficient
+        from blackbox_lds import sysid
+        solve_A, calls = sysid.solve_A, []
+
+        def second_call_refuses(C0, C1):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NotControllableError("estimates not controllable")
+            return solve_A(C0, C1)
+
+        monkeypatch.setattr(sysid, "solve_A", second_call_refuses)
+        plant, err = self._reidentify_run()
+        assert err.phase == "reidentify"
+        assert isinstance(err.__cause__, NotControllableError)
+        assert plant.log.phases.count("reidentify") == 55
+
+    def test_reidentify_needs_k_plus_one_rounds(self):
+        plant, err = self._reidentify_run(T0=1)
+        assert err.phase == "reidentify"
+        assert "1 probing rounds cannot estimate 2 blocks" in str(err)
+        assert "reidentify" not in plant.log.phases
+
+    def test_dac_horizon_checked_before_reidentify_rounds(self):
+        # 400 - 87 = 313 rounds would be left for GPC, fewer than H = 330:
+        # refused before the 55 probing rounds are spent
+        plant, err = self._reidentify_run(H=330)
+        assert err.phase == "gpc"
+        assert "exceeds the 313 rounds left for GPC" in str(err)
+        assert "reidentify" not in plant.log.phases
 
     def test_gpc_phase_matches_reference_loop(self):
         # replay the logged GPC-round disturbances from the first GPC-round

@@ -6,6 +6,7 @@ from blackbox_lds import (
     CostFunction,
     LinearSystem,
     SignAdversarialDisturbance,
+    SinusoidalDisturbance,
     ZeroDisturbance,
     adv_sys_id,
     epsilon_zero,
@@ -13,7 +14,7 @@ from blackbox_lds import (
     step,
 )
 from blackbox_lds.errors import NotControllableError, ProbeScalingError
-from blackbox_lds.sysid import assemble_estimates, solve_A
+from blackbox_lds.sysid import assemble_estimates, closed_loop_sys_id, solve_A
 from conftest import random_controllable_system
 
 QUAD = CostFunction.quadratic()
@@ -72,10 +73,12 @@ class TestAssemble:
         assert bundle.M_hat[1][0, 0] == pytest.approx(0.5)
 
     def test_all_zero_states(self):
+        # all-zero responses give all-zero blocks, which from_blocks refuses
+        # before a bundle with a meaningless A_hat exists
         plan = probe_plan(1, 2, 8.0, 1e-2)
         xs = [np.zeros(2)] * (plan.horizon + 1)
-        bundle = assemble_estimates(xs, plan)
-        assert all(np.all(M == 0) for M in bundle.M_hat)
+        with pytest.raises(NotControllableError):
+            assemble_estimates(xs, plan)
 
     def test_nonzero_start_contamination(self):
         # x1 = 1 contributes A x1 to the probe response: M0 = 1 + A/xi
@@ -208,3 +211,52 @@ class TestAdvSysId:
             bundle = adv_sys_id(plant, 1e-4, 8.0 * beta, k, kappa)
             assert np.linalg.norm(bundle.A_hat - sys.A, 2) <= 1e-9
             assert np.linalg.norm(bundle.B_hat - sys.B, 2) <= 1e-8
+
+
+def _closed_loop_error(A, B, K, rounds, seed=0):
+    # ||[A_hat - A, B_hat - B]|| after `rounds` probing rounds on K, from the
+    # origin, under the oblivious sinusoid that biases a least-squares fit
+    sys = LinearSystem(A, B)
+    plant = BlackBoxPlant(sys, SinusoidalDisturbance(sys.d_x, omega=0.2), QUAD,
+                          np.zeros(sys.d_x))
+    A_hat, B_hat = closed_loop_sys_id(plant, K, sys.d_x, rounds, seed)
+    assert plant.log.phases == ["reidentify"] * rounds
+    return np.linalg.norm(np.hstack([A_hat - sys.A, B_hat - sys.B]), 2)
+
+
+class TestClosedLoopSysId:
+    def test_error_falls_with_rounds(self):
+        # 0.103, 0.034, 0.025 (slope -0.43); joint least squares on the same
+        # rounds stays at 0.285, 0.275, 0.271 (slope -0.01)
+        rounds = [1000, 10000, 30000]
+        errs = [_closed_loop_error([[0.5, 0.2], [0.0, 0.3]], np.eye(2),
+                                   np.zeros((2, 2)), n) for n in rounds]
+        assert errs[0] > errs[1] > errs[2]
+        slope = np.polyfit(np.log(rounds), np.log(errs), 1)[0]
+        assert slope <= -0.3
+        assert errs[-1] <= 0.05
+
+    @pytest.mark.parametrize("A,B,K", [
+        ([[0.5]], [[1.0]], [[-0.25]]),
+        ([[0.5, 0.2], [0.0, 0.3]], np.eye(2), [[-0.2, -0.1], [0.0, -0.1]]),
+    ])
+    def test_stabilized_estimate(self, A, B, K):
+        # 0.022 (scalar) and 0.035 (2-D) at 10^4 rounds. With K != 0 the
+        # played u_t is not eta_t: correlating with u_t gives 0.40 / 0.38,
+        # returning A + BK without the B_hat K correction 0.27 / 0.22, and
+        # least squares 0.33 / 0.31
+        assert _closed_loop_error(A, B, K, 10000) <= 0.08
+
+    def test_needs_k_plus_one_rounds(self):
+        plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]), ZeroDisturbance(),
+                              QUAD, [0.0])
+        with pytest.raises(ValueError, match="1 probing rounds cannot estimate 2"):
+            closed_loop_sys_id(plant, [[0.0]], 1, 1, seed=0)
+        assert plant.t == 1  # refused before a round is played
+
+    def test_no_response_is_not_controllable(self):
+        # B = 0 and no disturbance: every correlation block is exactly zero
+        plant = BlackBoxPlant(LinearSystem([[0.5]], [[0.0]]), ZeroDisturbance(),
+                              QUAD, [0.0])
+        with pytest.raises(NotControllableError):
+            closed_loop_sys_id(plant, [[0.0]], 1, 50, seed=0)
