@@ -421,8 +421,10 @@ def _comparator_fields(comparator):
 def _run_pipeline_experiment(exp):
     report = run_pipeline(exp.plant, exp.prior, exp.horizon,
                           overrides=exp.overrides, seed=exp.seed, **exp.options)
-    err_A = float(np.linalg.norm(report.estimates.A_hat - exp.system.A, 2))
-    err_B = float(np.linalg.norm(report.estimates.B_hat - exp.system.B, 2))
+    def error(estimate, truth):
+        return float(np.linalg.norm(estimate - truth, 2))
+
+    gpc_A, gpc_B = report.gpc_model
     return report.log, {
         "constants": report.constants.as_dict(),
         "constants_provenance": report.constants.provenance,
@@ -432,8 +434,13 @@ def _run_pipeline_experiment(exp):
         **_comparator_fields(report.comparator),
         "A_hat": report.estimates.A_hat,
         "B_hat": report.estimates.B_hat,
-        "estimate_error_A": err_A,
-        "estimate_error_B": err_B,
+        "estimate_error_A": error(report.estimates.A_hat, exp.system.A),
+        "estimate_error_B": error(report.estimates.B_hat, exp.system.B),
+        # the pair phase 3 ran on: phase 1's, or the re-identified one
+        "gpc_A_hat": gpc_A,
+        "gpc_B_hat": gpc_B,
+        "gpc_estimate_error_A": error(gpc_A, exp.system.A),
+        "gpc_estimate_error_B": error(gpc_B, exp.system.B),
         "K": report.recovery.K,
         "sdp_witness_norm_L": report.recovery.norm_L,
         "sdp_iterations": report.recovery.sdp_iterations,

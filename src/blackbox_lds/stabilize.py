@@ -5,14 +5,13 @@ Feasibility SDP (steady-state covariance relaxation):
     find Sigma >= 0,  Tr(Sigma) <= nu,
     s.t. Sigma_xx = [A_hat B_hat] Sigma [A_hat B_hat]' + I,
 
-solved by Dykstra's alternating projections; both projections are closed
+solved by plain alternating projections; both projections are closed
 form, which is all a "minimize 0" feasibility problem needs at desk
-dimensions; an iteration (one eigh, an affine projection with flat-index
-svec/smat, one eigvalsh) takes ~0.18 ms at d_x = 20, d_u = 5 and ~60-100 us
-at d_x = 8-15 (one BLAS thread on 2 x86 cores). The solver exits feasible,
-or infeasible by a dual certificate (checked at iterations 1, 2, 4, ...,
-one more eigvalsh each), by a plateau of the violation, or at the iteration
-cap; see sdp_feasibility.
+dimensions. An iteration is one eigh and an affine projection with
+flat-index svec/smat: ~80 us at d_x = 15, d_u = 3 and ~0.13 ms at d_x = 20,
+d_u = 5 (one BLAS thread, x86). The solver exits feasible, or infeasible by a dual certificate
+(checked at iterations 1, 2, 4, ..., one eigvalsh each), by a plateau of
+the violation, or at the iteration cap; see sdp_feasibility.
 K_hat = Sigma_xu' Sigma_xx^{-1} then runs until the probing-phase state decays.
 Its certificate on the estimates is lds.stability_witness with X = Sigma_xx:
 kappa = max(||K||, cond(Sigma_xx)^{1/2}) and gamma = 1 - ||L|| for
@@ -136,9 +135,8 @@ def _project_spectrum(w: np.ndarray, nu: float) -> np.ndarray:
     return np.maximum(w - theta, 0.0)
 
 
-def _project_psd_trace_sym(S, nu: float) -> np.ndarray:
-    """project_psd_trace for an S that is already exactly symmetric."""
-    w, U = np.linalg.eigh(S)
+def _psd_trace_point(w: np.ndarray, U: np.ndarray, nu: float) -> np.ndarray:
+    """Projection onto {PSD, Tr <= nu} of the symmetric U diag(w) U'."""
     return _symmetrize((U * _project_spectrum(w, nu)) @ U.T)
 
 
@@ -146,7 +144,7 @@ def project_psd_trace(S, nu: float) -> np.ndarray:
     """Exact Frobenius projection onto {Sigma PSD, Tr(Sigma) <= nu}."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    return _project_psd_trace_sym(_symmetrize(S), nu)
+    return _psd_trace_point(*np.linalg.eigh(_symmetrize(S)), nu)
 
 
 def _affine_map(G, S):
@@ -253,9 +251,14 @@ def project_affine(S, A_hat, B_hat) -> np.ndarray:
 
 
 def sdp_feasibility(A_hat, B_hat, nu: float, on_iteration=None) -> SdpBlockMatrix:
-    """Dykstra's alternating projections onto {PSD, Tr <= nu} and the affine
+    """Alternating projections onto {PSD, Tr <= nu} and the affine
     steady-state constraint, from the centered initializer (nu/n) I.
 
+    Plain (von Neumann) alternation converges to some point of the
+    intersection, which is all a feasibility problem needs. Each iteration
+    projects onto {PSD, Tr <= nu}, takes the affine step and makes one eigh
+    of the affine iterate x: its eigenvalues give x's PSD violation, and if x
+    is not yet feasible, the same eigenpairs give the next PSD projection.
     Exits:
     - feasible: returns the affine-feasible iterate once its PSD and trace
       violations are within DEFAULT_TOL;
@@ -278,23 +281,17 @@ def sdp_feasibility(A_hat, B_hat, nu: float, on_iteration=None) -> SdpBlockMatri
         raise ValueError("nu must be positive")
     proj = AffineProjector(A_hat, B_hat)
     n = proj.d_x + proj.d_u
-    x = (nu / n) * np.eye(n)
-    p = np.zeros((n, n))
+    w, U = np.linalg.eigh((nu / n) * np.eye(n))
     best = math.inf
     last_check = math.inf
     for it in range(1, DEFAULT_MAX_ITERS + 1):
-        # every iterate is exactly symmetric: x and y leave _symmetrize, and
-        # sums and differences of symmetric matrices stay symmetric
-        s = x + p
-        y = _project_psd_trace_sym(s, nu)
-        p = s - y
+        # y and x leave _symmetrize, so both are exactly symmetric
+        y = _psd_trace_point(w, U, nu)
         Lam = proj._multiplier(y)
         F_adj = proj._F_adjoint(Lam)
         x = _symmetrize(y - F_adj)
-        eigs = np.linalg.eigvalsh(x)
-        psd_viol = max(0.0, -float(eigs[0]))
-        trace_viol = max(0.0, float(x.trace()) - nu)
-        viol = max(psd_viol, trace_viol)
+        w, U = np.linalg.eigh(x)
+        viol = max(0.0, -float(w[0]), float(x.trace()) - nu)
         best = min(best, viol)
         if on_iteration is not None:
             on_iteration(it, viol)
@@ -340,7 +337,7 @@ class RecoveryResult:
     sigma: SdpBlockMatrix
     # strong-stability witness of K on the estimates, from X = Sigma_xx
     witness: StabilityCertificate
-    # Dykstra iterations, final violation and ||Sigma_xx - G Sigma G' - I||_F
+    # solver iterations, final violation and ||Sigma_xx - G Sigma G' - I||_F
     sdp_iterations: int
     sdp_violation: float
     sdp_affine_residual: float

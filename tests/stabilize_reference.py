@@ -1,9 +1,10 @@
-"""Reference implementations of the phase-2 affine projection and Dykstra
-loop: the projector that builds its normal-equation matrix and every
-projection from a list of d_x(d_x+1)/2 dense basis matrices, and the
-solver loop that symmetrizes each iterate before its eigenvalue check. The
-index-array svec/smat paths in blackbox_lds.stabilize are checked against
-them for bit-identical results."""
+"""Reference implementations of the phase-2 affine projection and
+alternating-projection loop: the projector that builds its normal-equation
+matrix and every projection from a list of d_x(d_x+1)/2 dense basis
+matrices, and the solver loop that makes each projection with the public
+project_psd_trace and has no dual certificate. The index-array svec/smat
+paths in blackbox_lds.stabilize are checked against them for bit-identical
+results."""
 
 import math
 
@@ -95,32 +96,27 @@ class RefAffineProjector:
 
 def ref_sdp_feasibility(A_hat, B_hat, nu, tol=DEFAULT_TOL,
                         max_iters=DEFAULT_MAX_ITERS, on_iteration=None):
-    """Dykstra's alternating projections onto {PSD, Tr <= nu} and the affine
+    """Alternating projections onto {PSD, Tr <= nu} and the affine
     steady-state constraint, from the centered initializer (nu/n) I.
 
     Returns the affine-feasible iterate once its PSD and trace violations are
     within tol. Raises SdpInfeasibleError when max_iters is exhausted or the
     violation plateaus well above tol (the scalar instance A_hat=2, B_hat=0
-    plateaus immediately: Sigma_xx = 4 Sigma_xx + 1 forces Sigma_xx < 0).
-    on_iteration(it, violation), when given, observes the per-iteration
-    constraint violation of the affine-feasible iterate.
+    plateaus at iteration 2000: Sigma_xx = 4 Sigma_xx + 1 forces
+    Sigma_xx < 0). on_iteration(it, violation), when given, observes the
+    per-iteration constraint violation of the affine-feasible iterate.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     proj = RefAffineProjector(A_hat, B_hat)
     n = proj.d_x + proj.d_u
     x = (nu / n) * np.eye(n)
-    p = np.zeros((n, n))
     best = math.inf
     last_check = math.inf
     for it in range(1, max_iters + 1):
-        y = project_psd_trace(x + p, nu)
-        p = x + p - y
-        x = proj.project(y)
-        eigs = np.linalg.eigvalsh(_symmetrize(x))
-        psd_viol = max(0.0, -float(eigs[0]))
-        trace_viol = max(0.0, float(np.trace(x)) - nu)
-        viol = max(psd_viol, trace_viol)
+        x = proj.project(project_psd_trace(x, nu))
+        eigs = np.linalg.eigh(_symmetrize(x))[0]
+        viol = max(0.0, -float(eigs[0]), float(np.trace(x)) - nu)
         best = min(best, viol)
         if on_iteration is not None:
             on_iteration(it, viol)

@@ -68,6 +68,28 @@ class TestPipelineCommand:
         assert summary["sdp_violation"] <= 1e-9
         assert summary["sdp_affine_residual"] <= 1e-9
 
+    def test_gpc_model_fields(self, tmp_path):
+        # summary.json names the pair phase 3 ran on: phase 1's by default,
+        # the re-identified one with options.reidentify (test_pipeline's
+        # test_reidentify_mode run)
+        cfg = _write_config(tmp_path, "cfg.json", PIPELINE_CFG)
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        summary = json.loads(_read(tmp_path / "a" / "summary.json"))
+        for field in ("A_hat", "B_hat", "estimate_error_A", "estimate_error_B"):
+            assert summary["gpc_" + field] == summary[field]
+        reidentify = {**PIPELINE_CFG, "seed": 5, "horizon": 400,
+                      "options": {"use_certified_stability": True,
+                                  "comparator_iters": 40, "reidentify": True}}
+        cfg = _write_config(tmp_path, "re.json", reidentify)
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        summary = json.loads(_read(tmp_path / "b" / "summary.json"))
+        assert max(summary["estimate_error_A"], summary["estimate_error_B"]) <= 1e-7
+        err_A = np.array(summary["gpc_A_hat"]) - PIPELINE_CFG["plant"]["A"]
+        err_B = np.array(summary["gpc_B_hat"]) - PIPELINE_CFG["plant"]["B"]
+        assert summary["gpc_estimate_error_A"] == np.linalg.norm(err_A, 2)
+        assert summary["gpc_estimate_error_B"] == np.linalg.norm(err_B, 2)
+        assert 0.1 <= np.linalg.norm(np.hstack([err_A, err_B]), 2) <= 0.2
+
     def test_comparator_fields(self, tmp_path, monkeypatch):
         from blackbox_lds import pipeline
         results = []

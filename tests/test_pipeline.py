@@ -17,6 +17,7 @@ from blackbox_lds import (
     derive_constants,
     run_pipeline,
     step,
+    strong_controllability_check,
 )
 from blackbox_lds.errors import (ConfigError, NotControllableError, PhaseError,
                                  ProbeScalingError)
@@ -287,6 +288,44 @@ class TestRunPipeline:
         bound = 2 * report.stability_used["kappa"] / report.stability_used["gamma"]
         assert report.x_after_decay_norm <= bound
         assert set(report.log.phases) == {"sysid", "decay", "gpc"}
+
+    def test_non_normal_mimo_plant_end_to_end(self):
+        # a random unstable plant, d_x = 4 and d_u = 2, whose A is far from
+        # normal; the constants are the pipeline's own from (eps, kappa',
+        # gamma'), and H is cut to 10 so that phase 3 fits in the horizon
+        g = np.random.default_rng(7)
+        d_x, d_u = int(g.integers(3, 5)), int(g.integers(1, 3))
+        A = g.normal(size=(d_x, d_x))
+        A *= 1.1 / max(abs(np.linalg.eigvals(A)))
+        B = g.normal(size=(d_x, d_u))
+        B /= np.linalg.norm(B, 2)
+        sys = LinearSystem(A, B)
+        assert (d_x, d_u) == (4, 2)
+        assert np.linalg.norm(A @ A.T - A.T @ A, 2) > 1.0
+        for k in range(1, d_x + 1):
+            ok, kappa = strong_controllability_check(sys, k)
+            if ok:
+                break
+        assert ok and k == 2
+        beta = max(1.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+        plant = BlackBoxPlant(sys, SinusoidalDisturbance(d_x, omega=0.3), QUAD,
+                              np.zeros(d_x), seed=7)
+        report = run_pipeline(plant, PriorBounds(k, kappa, beta), 3000,
+                              overrides={"eps": 1e-6, "kappa_prime": 1.5,
+                                         "gamma_prime": 0.5, "H": 10},
+                              use_certified_stability=True, comparator_iters=20,
+                              seed=7)
+        eps = report.constants.eps
+        assert np.linalg.norm(report.estimates.A_hat - A, 2) <= eps
+        assert np.linalg.norm(report.estimates.B_hat - B, 2) <= eps
+        # phase 2 is not solved at its first iterate (388 iterations)
+        assert report.recovery.sdp_iterations > 100
+        assert report.recovery.norm_L <= 1 - 1 / (2 * report.recovery.constants.nu)
+        bound = 2 * report.stability_used["kappa"] / report.stability_used["gamma"]
+        assert report.decay_steps > 0
+        assert report.x_after_decay_norm <= bound
+        assert report.gpc_steps > 0
+        assert report.gpc_result.max_constraint_violation <= 1e-9
 
     def test_broken_noise_assumption_surfaces_decay_diagnostic(self):
         # disturbances exceeding the unit-ball assumption wreck the estimates,

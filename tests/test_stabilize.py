@@ -108,9 +108,9 @@ def _sym(rng, n, scale=1.0):
 def _unstable_pairs():
     """Twelve unstable pairs (spectral radius 1.1) with the trace cap nu of
     kappa' = 3, gamma' = 1/18, eps = 0: most are feasible at the first
-    iterate, two take thousands of Dykstra iterations, and draw 9 ends in the
-    plateau rejection at iteration 2000 although its LQR point (trace 3597
-    against nu = 11664) is feasible."""
+    iterate, draws 4 and 6 take 1058 and 1906 iterations, and draw 9 ends at
+    the 10^5-iteration cap although its LQR point (trace 3597 against
+    nu = 11664) is feasible."""
     g = np.random.default_rng(5)
     for _ in range(12):
         d_x, d_u = int(g.integers(2, 5)), int(g.integers(1, 3))
@@ -189,18 +189,22 @@ class TestAgainstReference:
             S = rng.normal(size=(d_x + d_u, d_x + d_u)) * scale
             assert np.array_equal(new.project(S), ref.project(S))
 
-    def test_dykstra_iterates(self):
+    def test_solver_iterates(self):
+        # capped at 3000 so that draw 9 ends quickly on both paths
         lengths = []
         for A, B, nu in _unstable_pairs():
             runs = []
-            for solve in (sdp_feasibility, ref_sdp_feasibility):
-                seen = []
-                try:
-                    sigma = solve(A, B, nu, on_iteration=lambda it, v: seen.append((it, v)))
-                    end = [sigma.sigma, extract_controller(sigma)]
-                except SdpInfeasibleError as exc:
-                    end = [exc.iterations, exc.residual]
-                runs.append((seen, end))
+            with mock.patch.object(stabilize, "DEFAULT_MAX_ITERS", 3000):
+                for solve in (sdp_feasibility, partial(ref_sdp_feasibility,
+                                                       max_iters=3000)):
+                    seen = []
+                    try:
+                        sigma = solve(A, B, nu,
+                                      on_iteration=lambda it, v: seen.append((it, v)))
+                        end = [sigma.sigma, extract_controller(sigma)]
+                    except SdpInfeasibleError as exc:
+                        end = [exc.reason, exc.iterations, exc.residual]
+                    runs.append((seen, end))
             (seen, end), (seen_ref, end_ref) = runs
             assert seen == seen_ref
             assert all(np.array_equal(a, b) for a, b in zip(end, end_ref))
@@ -307,16 +311,29 @@ class TestRejectionReasons:
         assert err.value.reason == "certificate"
         assert err.value.iterations == 1
 
-    def test_plateau(self):
-        # draw 9 is feasible; the plateau heuristic rejects it anyway
-        A, B, nu = list(_unstable_pairs())[9]
+    def test_plateau(self, monkeypatch):
+        # without the certificate, A=2, B=0 stalls: every affine point has
+        # Sigma_xx = -1/3, a PSD violation of at least 1/3
+        monkeypatch.setattr(AffineProjector, "certificate_margin",
+                            lambda *args: -math.inf)
         with pytest.raises(SdpInfeasibleError) as err:
-            sdp_feasibility(A, B, nu)
+            sdp_feasibility([[2.0]], [[0.0]], 5.0)
         assert err.value.reason == "plateau"
         assert err.value.iterations == 2000
+        assert err.value.residual == pytest.approx(1 / 3)
+
+    def test_a_feasible_pair_can_reach_the_cap(self, monkeypatch):
+        # draw 9 is feasible, but its violation keeps shrinking too slowly to
+        # finish: no plateau at 2000 or 3000, and the (lowered) cap rejects it
+        A, B, nu = list(_unstable_pairs())[9]
+        monkeypatch.setattr(stabilize, "DEFAULT_MAX_ITERS", 3000)
+        with pytest.raises(SdpInfeasibleError) as err:
+            sdp_feasibility(A, B, nu)
+        assert err.value.reason == "cap"
+        assert err.value.iterations == 3000
 
     def test_cap(self, monkeypatch):
-        # draw 4 needs 2782 iterations
+        # draw 4 needs 1058 iterations
         A, B, nu = list(_unstable_pairs())[4]
         monkeypatch.setattr(stabilize, "DEFAULT_MAX_ITERS", 500)
         with pytest.raises(SdpInfeasibleError) as err:
@@ -364,7 +381,7 @@ class TestSdpFeasibility:
         with pytest.raises(SdpInfeasibleError):
             sdp_feasibility([[2.0]], [[0.0]], 5.0)
 
-    def test_dykstra_violation_monitor(self, rng):
+    def test_violation_monitor(self, rng):
         # constraint violation is non-increasing after a 10-iteration burn-in
         # on feasible instances (monitored, not proven)
         for _ in range(5):
@@ -407,7 +424,9 @@ class TestControllerRecovery:
         assert rho < 1.0
         assert rho <= 1 - 1 / (2 * result.constants.nu) + 1e-6
 
-    def test_solver_counters_match_a_direct_solve(self):
+    def test_solver_counters_match_a_direct_solve(self, monkeypatch):
+        # capped at 3000 so that draw 9 ends quickly
+        monkeypatch.setattr(stabilize, "DEFAULT_MAX_ITERS", 3000)
         lengths = []
         for A, B, nu in _unstable_pairs():
             seen = []
@@ -425,6 +444,41 @@ class TestControllerRecovery:
                 == AffineProjector(A, B).residual(sigma.sigma) <= 1e-9
             lengths.append(len(seen))
         assert sum(n > 1000 for n in lengths) >= 2
+
+    @pytest.mark.parametrize("draw", [5, 11])
+    def test_slow_random_draws_certify(self, draw):
+        # the recover benchmark's recipe (d_x 8-16, d_u 2-4, spectral radius
+        # 1.1) under default_rng(7): draws 5 (d_x 10) and 11 (d_x 8) need
+        # ~22 500 iterations; Dykstra's method gave up on both at 10^5
+        g = np.random.default_rng(7)
+        for _ in range(draw + 1):
+            d_x, d_u = int(g.integers(8, 17)), int(g.integers(2, 5))
+            A = g.normal(size=(d_x, d_x))
+            A *= 1.1 / max(abs(np.linalg.eigvals(A)))
+            B = g.normal(size=(d_x, d_u))
+            B /= np.linalg.norm(B, 2)
+        assert (d_x, d_u) == {5: (10, 2), 11: (8, 2)}[draw]
+        result = controller_recovery(A, B, 1e-6, 3.0, 1 / 18)
+        assert result.norm_L <= 1 - 1 / (2 * result.constants.nu)
+        assert max(abs(np.linalg.eigvals(A + B @ result.K))) < 1.0
+        assert 1000 < result.sdp_iterations < 25000
+
+    @pytest.mark.parametrize("draw", [4, 6])
+    def test_orthogonal_change_of_basis(self, draw):
+        # (Q A Q', Q B R') with Q, R orthogonal is the same system in other
+        # coordinates: the iteration count is the same and K' = R K Q'
+        A, B, nu = list(_unstable_pairs())[draw]
+        base = controller_recovery(A, B, 0.0, 3.0, 1 / 18)
+        assert base.sdp_iterations > 1000
+        g = np.random.default_rng(draw)
+        for _ in range(3):
+            Q = np.linalg.qr(g.normal(size=A.shape))[0]
+            R = np.linalg.qr(g.normal(size=(B.shape[1],) * 2))[0]
+            moved = controller_recovery(Q @ A @ Q.T, Q @ B @ R.T, 0.0, 3.0, 1 / 18)
+            assert moved.sdp_iterations == base.sdp_iterations
+            expected = R @ base.K @ Q.T
+            assert np.linalg.norm(moved.K - expected) \
+                <= 1e-9 * np.linalg.norm(expected)
 
     def test_nu_precondition(self):
         with pytest.raises(ValueError):
