@@ -446,7 +446,7 @@ def _run_pipeline_experiment(exp):
         "sdp_iterations": report.recovery.sdp_iterations,
         "sdp_violation": report.recovery.sdp_violation,
         "sdp_affine_residual": report.recovery.sdp_affine_residual,
-        "nu": report.recovery.constants.nu,
+        "nu": report.constants.nu,
         "decay_steps": report.decay_steps,
         "gpc_steps": report.gpc_steps,
         "gpc_projection_active_rounds": report.gpc_result.projection_active_rounds,
@@ -472,13 +472,13 @@ def _run_sysid_experiment(exp):
 
 def _run_recover_experiment(exp):
     A_hat, B_hat, rc = exp.system.A, exp.system.B, exp.recovery
-    result = controller_recovery(A_hat, B_hat, rc.eps, rc.kappa_prime, rc.gamma_prime)
+    result = controller_recovery(A_hat, B_hat, rc.nu)
     closed = A_hat + B_hat @ result.K
     return RunLog(exp.system.d_x, exp.system.d_u), {
         "K": result.K,
-        "nu": result.constants.nu,
-        "kappa_tilde": result.kappa_tilde,
-        "gamma_tilde": result.gamma_tilde,
+        "nu": rc.nu,
+        "kappa_tilde": rc.kappa_tilde,
+        "gamma_tilde": rc.gamma_tilde,
         "witness_norm_L": result.norm_L,
         "sdp_iterations": result.sdp_iterations,
         "sdp_violation": result.sdp_violation,

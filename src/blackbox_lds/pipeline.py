@@ -4,14 +4,14 @@ recovery + decay, and online control on a live plant, then report per-phase
 costs and (in simulation mode) regret against the best DAC in hindsight.
 
 Worst-case constants are sufficient conditions and quickly leave double
-precision range, so every derived constant accepts an override; overrides
-are recorded with provenance in the report.
+precision range, so every derived constant but eps0 and T1 accepts an
+override; overrides are recorded with provenance in the report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,8 @@ from .errors import ConfigError, PhaseError, ProbeScalingError
 from .lds import PriorBounds, RunLog
 from .nsc import GpcResult, HindsightResult, best_dac_in_hindsight, gpc_run
 from .plant import BlackBoxPlant
-from .stabilize import RecoveryConstants, RecoveryResult, controller_recovery, decay
+from .stabilize import (RecoveryConstants, RecoveryResult, controller_recovery, decay,
+                        decay_horizon)
 from .sysid import (EstimateBundle, adv_sys_id, closed_loop_sys_id, epsilon_zero,
                     probe_horizon, probe_plan)
 
@@ -28,8 +29,9 @@ from .sysid import (EstimateBundle, adv_sys_id, closed_loop_sys_id, epsilon_zero
 # x d_x window stack it builds every round.
 GPC_STACK_BUDGET = 512 * 2**20
 
-_DERIVABLE = ("lam", "C", "kappa_prime", "gamma_prime", "eps", "eps0", "nu",
-              "kappa_tilde", "gamma_tilde", "kappa_star", "W", "H", "eta", "T0")
+# the constants an override may set; eps0 and T1 are derived only
+_OVERRIDABLE = ("lam", "C", "kappa_prime", "gamma_prime", "eps", "nu",
+                "kappa_tilde", "gamma_tilde", "kappa_star", "W", "H", "eta", "T0")
 
 
 @dataclass
@@ -63,7 +65,8 @@ class PhaseConstants:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in
-                ("k", "kappa", "beta", "d_x", "d_u", "T", "G", "T1") + _DERIVABLE}
+                ("k", "kappa", "beta", "d_x", "d_u", "T", "G", "T1", "eps0")
+                + _OVERRIDABLE}
 
 
 def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
@@ -71,17 +74,20 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
                      G: float = 2.0) -> PhaseConstants:
     """Evaluate the phase-constant formulas, honoring overrides.
 
-    Overriding a constant reroutes everything downstream of it; provenance
-    marks each value as default, override, or derived-from-override. Raises
-    ProbeScalingError if the probe scalings are unrepresentable and no
-    override rescues them. Any other failed check (an unknown override, a
-    constant not positive and finite, eps >= 1/2, ...) raises ConfigError
-    naming the constant, overridden or derived.
+    Each constant in _OVERRIDABLE accepts an override; eps0 and T1 are
+    derived only. Overriding a constant reroutes everything downstream of
+    it; provenance marks each value as default, override, or
+    derived-from-override. nu, kappa~ and gamma~ are from_existence's, and
+    kappa*, W, H and eta follow (kappa~, gamma~). Raises ProbeScalingError
+    if the probe scalings are unrepresentable and no override rescues them.
+    Any other failed check (an unknown override, a constant not positive
+    and finite, eps >= 1/2, ...) raises ConfigError naming the constant.
     """
     overrides = dict(overrides or {})
-    unknown = sorted(set(overrides) - set(_DERIVABLE))
+    unknown = sorted(set(overrides) - set(_OVERRIDABLE))
     if unknown:
-        raise ConfigError(unknown[0], f"unknown constant overrides: {unknown}")
+        raise ConfigError(unknown[0], f"unknown constant overrides: {unknown} "
+                          "(eps0 and T1 are derived only)")
     prov = {}
     resolve = _resolver(overrides, prov)
     lam = resolve("lam", lambda: 8.0 * beta)
@@ -111,17 +117,15 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
                           "kappa_prime", "gamma_prime")
     gamma_tilde = resolve("gamma_tilde", lambda: existence.gamma_tilde,
                           "kappa_prime", "gamma_prime")
-    kappa_star, W, H, eta = _phase3_constants(resolve, k, kappa, beta,
-                                              kappa_tilde, gamma_tilde, T, G)
+    phase3 = _phase3_constants(resolve, k, kappa, beta, kappa_tilde, gamma_tilde, T, G)
     T1 = probe_horizon(k, d_u) + 1
     T0 = int(resolve("T0", lambda: math.ceil(T ** (2.0 / 3.0))))
     consts = PhaseConstants(
         k=k, kappa=float(kappa), beta=float(beta), d_x=d_x, d_u=d_u, T=T, G=G,
         lam=lam, C=C, kappa_prime=kappa_prime, gamma_prime=gamma_prime,
         eps=eps, eps0=eps0, nu=nu, kappa_tilde=kappa_tilde,
-        gamma_tilde=gamma_tilde, kappa_star=kappa_star, W=W, T1=T1, H=H,
-        eta=eta, T0=T0, provenance=prov)
-    for name in _DERIVABLE:
+        gamma_tilde=gamma_tilde, T1=T1, T0=T0, provenance=prov, **phase3)
+    for name in _OVERRIDABLE + ("eps0",):
         if getattr(consts, name) <= 0 or not math.isfinite(getattr(consts, name)):
             raise ConfigError(name,
                               f"derived constant {name} must be positive and finite")
@@ -156,7 +160,7 @@ def _resolver(overrides: dict, prov: dict):
 
 def _phase3_constants(resolve, k, kappa, beta, kappa_s, gamma_s, T, G):
     """kappa*, W, H and eta of phase 3 for the stability pair (kappa_s,
-    gamma_s) in force, each through resolve (see _resolver)."""
+    gamma_s) in force, by name, each through resolve (see _resolver)."""
     kappa_star = resolve(
         "kappa_star", lambda: 4.0 * kappa_s**2 * k**2 * beta ** (2 * k) * kappa,
         "kappa_tilde")
@@ -167,17 +171,17 @@ def _phase3_constants(resolve, k, kappa, beta, kappa_s, gamma_s, T, G):
         "kappa_star", "gamma_tilde")
     H = int(H)
     eta = resolve("eta", lambda: 1.0 / (G * W * math.sqrt(T)), "W")
-    return kappa_star, W, H, eta
+    return {"kappa_star": kappa_star, "W": W, "H": H, "eta": eta}
 
 
 @dataclass
 class PipelineReport:
-    constants: PhaseConstants
+    constants: PhaseConstants  # kappa_star, W, H and eta as phase 3 ran them
     prior: PriorBounds
     estimates: EstimateBundle
     gpc_model: tuple  # the (A_hat, B_hat) phase 3 ran on
     recovery: RecoveryResult
-    stability_used: dict  # kappa/gamma actually used for decay + phase 3
+    stability_used: dict  # kappa, gamma used for decay + phase 3, and source
     phase_costs: dict
     total_cost: float
     log: RunLog
@@ -200,19 +204,24 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
                  seed: Optional[int] = None) -> PipelineReport:
     """Run all three phases on the live plant.
 
-    Phases observe only states and costs. With use_certified_stability, the
-    decay length and phase-3 constants are rebuilt from the strong-stability
-    certificate the SDP witness actually provides on the estimates (degraded
-    by the 2 eps kappa^2 transfer margin for the true system) instead of the
-    worst-case formulas; provenance records the substitution. Overrides of
-    kappa_star, W, H and eta hold on either path, and the constants derived
-    from an overridden one follow it; the phase-2 SDP uses the resolved nu.
+    Phases observe only states and costs, and each runs on the constant
+    derive_constants resolved: the phase-2 SDP on nu, decay and phase 3 on
+    the stability pair (kappa~, gamma~). With use_certified_stability, that
+    pair is instead the strong-stability certificate the SDP witness
+    actually provides on the estimates (degraded by the 2 eps kappa^2
+    transfer margin for the true system), and kappa*, W, H and eta are
+    rebuilt from it; report.constants holds the rebuilt values (provenance
+    unchanged) and stability_used["source"] records the substitution.
+    Overrides of kappa_star, W, H and eta hold on either path, and the
+    constants derived from an overridden one follow it; overrides of
+    kappa~ and gamma~ are read only on the worst-case path.
 
     The comparator (hence regret) is computed only in simulation mode, by
-    replaying the recorded disturbances through the true system. A DAC
-    horizon H longer than the rounds left for phase 3, or one whose window
-    stacks would exceed GPC_STACK_BUDGET, raises PhaseError("gpc") before
-    phase 3 allocates anything; the worst-case constants give such an H
+    replaying the recorded disturbances through the true system. The decay
+    length T2 is known once K is: before the first decay round, a horizon
+    with T1 - 1 + T2 >= T, a DAC horizon H longer than the rounds left for
+    phase 3, or one whose window stacks would exceed GPC_STACK_BUDGET
+    raises PhaseError("gpc"); the worst-case constants give such an H
     (about 19600 on a scalar plant at T = 10000, 20840 at T = 40000).
     With reidentify, phase 3 first spends min(T0, T3 // 2) rounds (checked
     with H first) on sysid.closed_loop_sys_id and runs GPC on its (A_hat,
@@ -234,44 +243,34 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
 
     # Phase 2: controller recovery (zero plant cost), then decay.
     try:
-        recovery = controller_recovery(bundle.A_hat, bundle.B_hat, cst.eps,
-                                       cst.kappa_prime, cst.gamma_prime,
-                                       nu=cst.nu)
+        recovery = controller_recovery(bundle.A_hat, bundle.B_hat, cst.nu)
     except Exception as exc:
         raise PhaseError("recover", str(exc)) from exc
     kappa_use, gamma_use = cst.kappa_tilde, cst.gamma_tilde
     source = "worst-case"
     if use_certified_stability:
-        kappa_cert = recovery.witness.kappa
-        gamma_cert = recovery.witness.gamma - 2.0 * cst.eps * kappa_cert**2
-        if gamma_cert <= 0.0:
+        kappa_use = recovery.witness.kappa
+        gamma_use = recovery.witness.gamma - 2.0 * cst.eps * kappa_use**2
+        if gamma_use <= 0.0:
             raise PhaseError("recover",
                              "certified stability margin nonpositive after the "
                              "estimation-error transfer; decrease eps")
-        kappa_use, gamma_use = kappa_cert, gamma_cert
         source = "certified"
-    try:
-        dec = decay(plant, recovery.K, kappa_use, gamma_use)
-    except Exception as exc:
-        raise PhaseError("decay", str(exc)) from exc
-
-    rounds_used = plant.t - 1
-    T3 = T - rounds_used
-    if T3 <= 0:
-        raise PhaseError("gpc", f"decay consumed the horizon: T1-1 + T2 = "
-                         f"{rounds_used} >= T = {T}")
-
-    # Phase 3 constants follow the stability parameters actually in force.
-    kappa_star, W, H, eta = cst.kappa_star, cst.W, cst.H, cst.eta
-    if use_certified_stability:
-        kappa_star, W, H, eta = _phase3_constants(
+        # phase 3 constants follow the certified pair
+        cst = replace(cst, **_phase3_constants(
             _resolver(dict(overrides or {}), {}), prior.k, prior.kappa,
-            prior.beta, kappa_use, gamma_use, T, G)
-    stability_used = {"kappa": kappa_use, "gamma": gamma_use, "source": source,
-                      "kappa_star": kappa_star, "W": W, "H": H, "eta": eta}
+            prior.beta, kappa_use, gamma_use, T, G))
+    stability_used = {"kappa": kappa_use, "gamma": gamma_use, "source": source}
 
+    # decay's length is known before its first round: check the budget now
+    T2 = decay_horizon(gamma_use, float(np.linalg.norm(x_after_sysid)))
+    T3 = T - (plant.t - 1) - T2
+    if T3 <= 0:
+        raise PhaseError("gpc", f"decay would consume the horizon: T1-1 + T2 = "
+                         f"{T - T3} >= T = {T}")
     spent = min(cst.T0, max(T3 // 2, 1)) if reidentify else 0
     T_gpc = T3 - spent
+    H = cst.H
     stack_bytes = 8 * (H + 1) * H * (plant.d_x + 1)
     if H > T_gpc or stack_bytes > GPC_STACK_BUDGET:
         why = (f"exceeds the {T_gpc} rounds left for GPC" if H > T_gpc else
@@ -280,6 +279,11 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         remedy = "" if use_certified_stability else " or use certified stability"
         raise PhaseError("gpc", f"DAC horizon H={H} {why} ({source} stability "
                          f"constants); lower it with the H override{remedy}")
+    try:
+        dec = decay(plant, recovery.K, kappa_use, gamma_use)
+    except Exception as exc:
+        raise PhaseError("decay", str(exc)) from exc
+
     model = bundle.A_hat, bundle.B_hat
     if reidentify:
         try:
@@ -287,7 +291,7 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         except Exception as exc:
             raise PhaseError("reidentify", str(exc)) from exc
     try:
-        gpc = gpc_run(plant, recovery.K, kappa_star, gamma_use, H, eta,
+        gpc = gpc_run(plant, recovery.K, cst.kappa_star, gamma_use, H, cst.eta,
                       T_gpc, *model)
     except Exception as exc:
         raise PhaseError("gpc", str(exc)) from exc
@@ -302,7 +306,7 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         sys_true = plant.true_system()
         w_seq = plant.disturbance_history()
         comparator = best_dac_in_hindsight(
-            sys_true, w_seq, plant.cost_spec(), recovery.K, H, kappa_star,
+            sys_true, w_seq, plant.cost_spec(), recovery.K, H, cst.kappa_star,
             gamma_use, x1, iters=comparator_iters)
         regret_value = total - comparator.cost
 

@@ -22,8 +22,7 @@ L = Sigma_xx^{-1/2} (A_hat + B_hat K) Sigma_xx^{1/2}, which the SDP bounds by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,9 +275,10 @@ def sdp_feasibility(A_hat, B_hat, nu: float, on_iteration=None) -> SdpBlockMatri
     on_iteration(it, violation), when given, observes the per-iteration
     constraint violation of the affine-feasible iterate. An iteration costs
     O((d_x + d_u)^3 + d_x^4) flops, d_x^4 for the normal-equation matvec.
+    A nu that is not positive and finite raises ConfigError("nu").
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not (nu > 0 and math.isfinite(nu)):
+        raise ConfigError("nu", f"trace cap nu must be positive and finite, got {nu}")
     proj = AffineProjector(A_hat, B_hat)
     n = proj.d_x + proj.d_u
     w, U = np.linalg.eigh((nu / n) * np.eye(n))
@@ -331,9 +331,6 @@ def extract_controller(sigma: SdpBlockMatrix) -> np.ndarray:
 @dataclass
 class RecoveryResult:
     K: np.ndarray
-    kappa_tilde: float
-    gamma_tilde: float
-    constants: RecoveryConstants
     sigma: SdpBlockMatrix
     # strong-stability witness of K on the estimates, from X = Sigma_xx
     witness: StabilityCertificate
@@ -347,36 +344,29 @@ class RecoveryResult:
         return self.witness.norm_L
 
 
-def controller_recovery(A_hat, B_hat, eps: float, kappa_prime: float,
-                        gamma_prime: float,
-                        nu: Optional[float] = None) -> RecoveryResult:
-    """Solve the feasibility SDP on (A_hat, B_hat) and extract K_hat.
+def controller_recovery(A_hat, B_hat, nu: float) -> RecoveryResult:
+    """Solve the feasibility SDP on (A_hat, B_hat) under the trace cap nu
+    and extract K_hat.
 
-    The returned (kappa_tilde, gamma_tilde) are the guaranteed stability
-    constants for the true system. The witness of K on the estimates (X =
-    Sigma_xx, see above) is checked against ||L|| <= 1 - 1/(2 nu).
-    The trace cap nu is derived from (kappa', gamma', eps) unless given;
-    RecoveryConstants.from_existence names any of them out of range.
+    nu is the cap the caller resolved, such as RecoveryConstants.nu for
+    existence parameters (kappa', gamma', eps); sdp_feasibility refuses one
+    that is not positive and finite. The witness of K on the estimates
+    (X = Sigma_xx, see above) is checked against ||L|| <= 1 - 1/(2 nu).
     """
     estimates = LinearSystem(A_hat, B_hat)
-    A_hat, B_hat, d_x = estimates.A, estimates.B, estimates.d_x
-    constants = RecoveryConstants.from_existence(kappa_prime, gamma_prime, eps, d_x)
-    if nu is not None:
-        constants = replace(constants, nu=float(nu))
+    A_hat, B_hat = estimates.A, estimates.B
     last = {}
-    sigma = sdp_feasibility(A_hat, B_hat, constants.nu,
+    sigma = sdp_feasibility(A_hat, B_hat, nu,
                             on_iteration=lambda it, viol: last.update(it=it, viol=viol))
     K = extract_controller(sigma)
     witness = stability_witness(A_hat + B_hat @ K, sigma.xx, K)
     norm_L = witness.norm_L
-    bound = 1.0 - 1.0 / (2.0 * constants.nu)
+    bound = 1.0 - 1.0 / (2.0 * nu)
     if norm_L > bound + max(10.0 * DEFAULT_TOL, 1e-8):
         raise SdpInfeasibleError(
             f"recovered witness not contracting: ||L|| = {norm_L:.12g} "
             f"exceeds {bound:.12g}", reason="witness", residual=norm_L - bound)
-    return RecoveryResult(K=K, kappa_tilde=constants.kappa_tilde,
-                          gamma_tilde=constants.gamma_tilde, constants=constants,
-                          sigma=sigma, witness=witness,
+    return RecoveryResult(K=K, sigma=sigma, witness=witness,
                           sdp_iterations=last["it"], sdp_violation=last["viol"],
                           sdp_affine_residual=_affine_residual(
                               np.hstack([A_hat, B_hat]), sigma.sigma))

@@ -34,7 +34,7 @@ from blackbox_lds import (
 )
 from blackbox_lds.errors import SdpInfeasibleError
 from blackbox_lds.lowerbound import BUILTIN_CONTROLLERS, zero_controller
-from blackbox_lds.stabilize import AffineProjector
+from blackbox_lds.stabilize import AffineProjector, RecoveryConstants
 from conftest import random_certified_pair, random_controllable_system
 from gpc_reference import core_surrogate, surrogate_cost
 
@@ -125,15 +125,16 @@ def test_criterion_04_sdp_recovery():
     worst_margin = -np.inf
     for _ in range(50):
         sys, K, cert = random_certified_pair(rng)
-        result = controller_recovery(sys.A, sys.B, 0.0, cert.kappa, cert.gamma)
+        nu = RecoveryConstants.from_existence(cert.kappa, cert.gamma, 0.0, sys.d_x).nu
+        result = controller_recovery(sys.A, sys.B, nu)
         proj = AffineProjector(sys.A, sys.B)
         resid = max(proj.residual(result.sigma.sigma),
                     max(0.0, -np.linalg.eigvalsh(result.sigma.sigma).min()),
-                    max(0.0, np.trace(result.sigma.sigma) - result.constants.nu))
+                    max(0.0, np.trace(result.sigma.sigma) - nu))
         worst_resid = max(worst_resid, resid)
         rho = max(abs(np.linalg.eigvals(sys.A + sys.B @ result.K)))
         worst_margin = max(worst_margin,
-                           rho - (1 - 1 / (2 * result.constants.nu)))
+                           rho - (1 - 1 / (2 * nu)))
     rejected = False
     try:
         sdp_feasibility([[2.0]], [[0.0]], 5.0)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from blackbox_lds import cli
 from blackbox_lds.cli import main
 from blackbox_lds.lds import RunLog
-from blackbox_lds.stabilize import controller_recovery
+from blackbox_lds.stabilize import RecoveryConstants, controller_recovery
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -111,6 +111,36 @@ class TestPipelineCommand:
         assert summary["comparator_converged"] == result.converged
         assert summary["comparator_iterations"] == result.iterations
         assert summary["comparator_grad_norm"] == result.grad_norm
+
+    @pytest.mark.parametrize("overrides,options", [
+        (PIPELINE_CFG["overrides"], PIPELINE_CFG["options"]),
+        # the worst-case path, with a stability pair that keeps H small
+        ({"eps": 1e-3, "kappa_tilde": 1.0, "gamma_tilde": 0.5},
+         {"comparator_iters": 30}),
+    ], ids=["certified", "worst-case"])
+    def test_constants_are_those_phase_3_ran(self, tmp_path, monkeypatch,
+                                             overrides, options):
+        from blackbox_lds import pipeline
+        runs = []
+        gpc_run = pipeline.gpc_run
+
+        def spy(*args):
+            runs.append((args, gpc_run(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(pipeline, "gpc_run", spy)
+        cfg = {**PIPELINE_CFG, "overrides": overrides, "options": options}
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", _write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 0
+        summary = json.loads(_read(out / "summary.json"))
+        ((_, _, kappa_star, gamma, H, eta, *_), result), = runs
+        constants = summary["constants"]
+        assert constants["H"] == H == result.M.shape[0]
+        assert (constants["kappa_star"], constants["eta"]) == (kappa_star, eta)
+        used = summary["stability_used"]
+        assert sorted(used) == ["gamma", "kappa", "source"]
+        assert used["gamma"] == gamma
 
     def test_unmeasured_comparator_grad_norm_is_null(self):
         # no accepted step leaves the stationarity measure at inf, which
@@ -397,6 +427,9 @@ class TestRangeErrors:
         ("pipeline", "plant.x1", [float("nan")], 1),
         ("pipeline", "plant.x1", [INF], 1),
         ("pipeline", "plant.x1", [-INF], 2),
+        # derived only: an override would be recorded but never read
+        ("pipeline", "overrides.eps0", 1e-9, 1),
+        ("pipeline", "overrides.T1", 5, 1),
     ])
     def test_exit_2_naming_the_field(self, tmp_path, capsys, base, path, value,
                                      trials):
@@ -485,7 +518,7 @@ class TestRandomPlant:
         assert main(["pipeline", "--config", _write_config(tmp_path, "cfg.json", cfg),
                      "--out", str(out)]) == 0
         summary = json.loads(_read(out / "summary.json"))
-        assert summary["stability_used"]["H"] == 20
+        assert summary["constants"]["H"] == 20
         assert summary["decay_steps"] > 0 and summary["gpc_steps"] > 0
 
     def test_h_refusal_names_only_the_remedies_that_apply(self, tmp_path, capsys):
@@ -698,8 +731,10 @@ class TestSysidAndRecoverCommands:
         assert main(["recover", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads(_read(out / "summary.json"))
         assert summary["closed_loop_spectral_radius"] < 1.0
-        direct = controller_recovery([[0.5]], [[1.0]], 1e-6, 2.449489742783178,
-                                     0.08333333333333334)
+        nu = RecoveryConstants.from_existence(2.449489742783178, 0.08333333333333334,
+                                              1e-6, 1).nu
+        direct = controller_recovery([[0.5]], [[1.0]], nu)
+        assert summary["nu"] == nu
         assert summary["sdp_iterations"] == direct.sdp_iterations >= 1
         assert summary["sdp_violation"] == direct.sdp_violation <= 1e-9
         assert summary["sdp_affine_residual"] == direct.sdp_affine_residual <= 1e-9

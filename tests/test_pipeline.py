@@ -159,6 +159,22 @@ class TestRunPipeline:
             run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 3,
                          overrides={"eps": 1e-3})
 
+    def test_decay_past_the_horizon_is_refused_before_it_plays(self):
+        # T1 - 1 = 2 probing rounds leave 8 of T = 10, and decay needs
+        # T2 = 30: refused before its first round, where it used to play
+        # all 30 and then refuse
+        sys = LinearSystem([[0.5]], [[1.0]])
+        plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), QUAD,
+                              [0.0], seed=1)
+        with pytest.raises(PhaseError) as err:
+            run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 10,
+                         overrides={"eps": 1e-3}, use_certified_stability=True,
+                         seed=1)
+        assert err.value.phase == "gpc"
+        assert "decay would consume the horizon: T1-1 + T2 = 32 >= T = 10" \
+            in str(err.value)
+        assert plant.log.phases == ["sysid"] * 2
+
     @staticmethod
     def _gpc_refusal(T, overrides, certified):
         """Run the criterion-08 plant into a PhaseError("gpc") under
@@ -176,7 +192,8 @@ class TestRunPipeline:
         finally:
             tracemalloc.stop()
         assert info.value.phase == "gpc"
-        assert "gpc" not in plant.log.phases
+        # refused before the first decay round
+        assert "decay" not in plant.log.phases and "gpc" not in plant.log.phases
         return info.value, peak, plant
 
     @pytest.mark.parametrize("T,overrides,certified", [
@@ -320,7 +337,7 @@ class TestRunPipeline:
         assert np.linalg.norm(report.estimates.B_hat - B, 2) <= eps
         # phase 2 is not solved at its first iterate (388 iterations)
         assert report.recovery.sdp_iterations > 100
-        assert report.recovery.norm_L <= 1 - 1 / (2 * report.recovery.constants.nu)
+        assert report.recovery.norm_L <= 1 - 1 / (2 * report.constants.nu)
         bound = 2 * report.stability_used["kappa"] / report.stability_used["gamma"]
         assert report.decay_steps > 0
         assert report.x_after_decay_norm <= bound
@@ -431,6 +448,7 @@ class TestRunPipeline:
         plant, err = self._reidentify_run(H=330)
         assert err.phase == "gpc"
         assert "exceeds the 313 rounds left for GPC" in str(err)
+        assert "decay" not in plant.log.phases
         assert "reidentify" not in plant.log.phases
 
     def test_gpc_phase_matches_reference_loop(self):
@@ -440,12 +458,12 @@ class TestRunPipeline:
         sys, plant, report = self._benchmark(400)
         gpc = np.array(report.log.phases) == "gpc"
         assert gpc.sum() == report.gpc_steps
-        used = report.stability_used
+        cst = report.constants
         replay = BlackBoxPlant(sys, ReplayDisturbance(report.log.disturbances()[gpc]),
                                QUAD, report.log.states()[gpc][0])
         total, _, active = ref_gpc_run(
-            replay, report.recovery.K, used["kappa_star"], used["gamma"],
-            used["H"], used["eta"], report.gpc_steps, report.estimates.A_hat,
+            replay, report.recovery.K, cst.kappa_star, report.stability_used["gamma"],
+            cst.H, cst.eta, report.gpc_steps, report.estimates.A_hat,
             report.estimates.B_hat)
         assert report.phase_costs["gpc"] == pytest.approx(total, rel=1e-12, abs=0.0)
         assert report.gpc_result.total_cost == pytest.approx(total, rel=1e-12,
@@ -463,7 +481,7 @@ class TestRunPipeline:
         assert used["source"] == "worst-case"
         assert (used["kappa"], used["gamma"]) == (cst.kappa_tilde, cst.gamma_tilde)
         for name in ("kappa_star", "W", "H", "eta"):
-            assert used[name] == getattr(cst, name)
+            assert getattr(report.constants, name) == getattr(cst, name)
 
     def test_certified_stability_derives_phase3_constants(self):
         # the certified pair enters the same formulas as kappa~/gamma~ do
@@ -473,8 +491,8 @@ class TestRunPipeline:
         cst = derive_constants(1, 1.0, 1.0, 1, 1, 400, overrides={
             "eps": 1e-3, "kappa_tilde": used["kappa"], "gamma_tilde": used["gamma"]})
         for name in ("kappa_star", "W", "H", "eta"):
-            assert used[name] == getattr(cst, name)
-        assert used["H"] <= report.gpc_steps
+            assert getattr(report.constants, name) == getattr(cst, name)
+        assert report.constants.H == report.gpc_result.M.shape[0] <= report.gpc_steps
         # an overridden kappa_star holds, and W, H and eta follow it
         sys = LinearSystem([[0.5]], [[1.0]])
         plant = BlackBoxPlant(sys, SinusoidalDisturbance(1, omega=0.2), QUAD,
@@ -486,10 +504,10 @@ class TestRunPipeline:
         cst = derive_constants(1, 1.0, 1.0, 1, 1, 400, overrides={
             "eps": 1e-3, "kappa_tilde": used["kappa"], "gamma_tilde": used["gamma"],
             "kappa_star": 5.0})
-        assert used["kappa_star"] == 5.0
-        assert used["W"] == 2.0 * 5.0 / used["gamma"]
+        assert report.constants.kappa_star == 5.0
+        assert report.constants.W == 2.0 * 5.0 / used["gamma"]
         for name in ("W", "H", "eta"):
-            assert used[name] == getattr(cst, name)
+            assert getattr(report.constants, name) == getattr(cst, name)
 
     def test_nu_override_caps_the_recovery_sdp(self):
         def run(nu):
@@ -502,7 +520,7 @@ class TestRunPipeline:
 
         report = run(5.0)  # the formula gives nu = 112.03 here
         assert report.constants.nu == 5.0
-        assert report.recovery.constants.nu == 5.0
+        assert np.trace(report.recovery.sigma.sigma) <= 5.0 + 1e-9
         assert report.recovery.norm_L <= 1.0 - 1.0 / (2.0 * 5.0)
         # Sigma_xx >= I on a scalar plant, so a trace cap below 1 is infeasible
         with pytest.raises(PhaseError) as err:
@@ -520,7 +538,7 @@ class TestRunPipeline:
         expected = derive_constants(1, 1.0, 1.0, 1, 1, 400, overrides=WORST_CASE,
                                     G=5.0).eta
         assert report.constants.G == 5.0
-        assert report.stability_used["eta"] == expected
+        assert report.constants.eta == expected
         assert expected != derive_constants(1, 1.0, 1.0, 1, 1, 400,
                                             overrides=WORST_CASE).eta
 
@@ -531,3 +549,74 @@ class TestRunPipeline:
             run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 400,
                          overrides={"eps": 1e-3})
         assert plant.t == 1  # raised before any round was played
+
+
+# (key, a second valid value, the observation it must change); kappa~ reaches
+# decay only through its divergence checks, which play no other round, so it
+# is seen through the kappa* it sets for phase 3
+_OVERRIDE_CASES = [
+    ("eps", 1e-3, "probes"),
+    ("lam", 9.0, "probes"),
+    ("C", 4.0, "probes"),
+    ("nu", 50.0, "recovery"),
+    ("kappa_prime", 2.0, "recovery"),
+    ("gamma_prime", 0.1, "recovery"),
+    ("kappa_tilde", 2.0, "gpc"),
+    ("gamma_tilde", 0.25, "decay"),
+    ("kappa_star", 8.0, "gpc"),
+    ("W", 32.0, "gpc"),
+    ("H", 10, "gpc"),
+    ("eta", 0.01, "gpc"),
+    ("T0", 20, "reidentify"),
+]
+
+
+class TestEveryOverrideIsRead:
+    """Each accepted override changes what the phase consuming it does, on
+    one scalar run: the worst-case path (the only one that reads kappa~ and
+    gamma~, here small enough to give H = 18) with reidentify (T0) and the
+    prior's own eps."""
+
+    BASE = {"kappa_tilde": 1.0, "gamma_tilde": 0.5}
+
+    @staticmethod
+    def _observe(report):
+        log = report.log
+        return {
+            "probes": log.controls()[: report.constants.T1 - 1],
+            "recovery": np.concatenate([report.recovery.sigma.sigma.ravel(),
+                                        report.recovery.K.ravel()]),
+            "decay": report.decay_steps,
+            "reidentify": log.phases.count("reidentify"),
+            "gpc": report.gpc_result.M,
+        }
+
+    def _run(self, **overrides):
+        plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
+                              SinusoidalDisturbance(1, omega=0.2), QUAD, [0.0],
+                              seed=1)
+        report = run_pipeline(plant, PriorBounds(1, 1.0, 1.0), 400,
+                              overrides={**self.BASE, **overrides},
+                              reidentify=True, comparator_iters=1, seed=1)
+        assert report.stability_used["source"] == "worst-case"
+        return report
+
+    @pytest.mark.parametrize("key,value,phase", _OVERRIDE_CASES)
+    def test_override_changes_its_phase(self, key, value, phase):
+        base = self._observe(self._run())
+        report = self._run(**{key: value})
+        assert getattr(report.constants, key) == value
+        assert report.constants.provenance[key] == "override"
+        assert not np.array_equal(self._observe(report)[phase], base[phase])
+
+    def test_every_overridable_key_is_covered(self):
+        from blackbox_lds.pipeline import _OVERRIDABLE
+        assert sorted(key for key, _, _ in _OVERRIDE_CASES) == sorted(_OVERRIDABLE)
+        assert len(_OVERRIDABLE) == 13
+
+    @pytest.mark.parametrize("key", ["eps0", "T1"])
+    def test_derived_only_constants_are_refused(self, key):
+        with pytest.raises(ConfigError) as err:
+            self._run(**{key: 1e-9})
+        assert err.value.path == key
+        assert "derived only" in err.value.message

@@ -105,6 +105,11 @@ def _sym(rng, n, scale=1.0):
     return 0.5 * (S + S.T)
 
 
+def _nu(kappa_prime, gamma_prime, eps, d_x):
+    """The trace cap of existence parameters (kappa', gamma', eps)."""
+    return RecoveryConstants.from_existence(kappa_prime, gamma_prime, eps, d_x).nu
+
+
 def _unstable_pairs():
     """Twelve unstable pairs (spectral radius 1.1) with the trace cap nu of
     kappa' = 3, gamma' = 1/18, eps = 0: most are feasible at the first
@@ -118,7 +123,7 @@ def _unstable_pairs():
         A *= 1.1 / max(abs(np.linalg.eigvals(A)))
         B = g.normal(size=(d_x, d_u))
         B /= np.linalg.norm(B, 2)
-        yield A, B, RecoveryConstants.from_existence(3.0, 1 / 18, 0.0, d_x).nu
+        yield A, B, _nu(3.0, 1 / 18, 0.0, d_x)
 
 
 class TestSvecSmat:
@@ -307,7 +312,7 @@ class TestRejectionReasons:
 
     def test_certificate(self):
         with pytest.raises(SdpInfeasibleError) as err:
-            controller_recovery([[2.0]], [[0.0]], 0.0, 3.0, 1 / 18)
+            controller_recovery([[2.0]], [[0.0]], _nu(3.0, 1 / 18, 0.0, 1))
         assert err.value.reason == "certificate"
         assert err.value.iterations == 1
 
@@ -357,7 +362,7 @@ class TestRejectionReasons:
         monkeypatch.setattr(stabilize, "sdp_feasibility",
                             lambda *args, **kwargs: bad)
         with pytest.raises(SdpInfeasibleError) as err:
-            stabilize.controller_recovery([[1.0]], [[1.0]], 0.0, 3.0, 1 / 18)
+            stabilize.controller_recovery([[1.0]], [[1.0]], _nu(3.0, 1 / 18, 0.0, 1))
         assert err.value.reason == "witness"
 
 
@@ -414,15 +419,17 @@ class TestExtractController:
 
 class TestControllerRecovery:
     def test_zero_system(self):
-        result = controller_recovery([[0.0]], [[1.0]], 0.0, 1.0, 1.0)
-        assert result.constants.nu == pytest.approx(2.0)
+        nu = _nu(1.0, 1.0, 0.0, 1)
+        result = controller_recovery([[0.0]], [[1.0]], nu)
+        assert nu == pytest.approx(2.0)
         assert result.norm_L <= 1 - 1 / (2 * 2.0) + 1e-8
 
     def test_scalar_half(self):
-        result = controller_recovery([[0.5]], [[1.0]], 1e-6, np.sqrt(6), 1 / 12)
+        nu = _nu(np.sqrt(6), 1 / 12, 1e-6, 1)
+        result = controller_recovery([[0.5]], [[1.0]], nu)
         rho = abs(0.5 + result.K[0, 0])
         assert rho < 1.0
-        assert rho <= 1 - 1 / (2 * result.constants.nu) + 1e-6
+        assert rho <= 1 - 1 / (2 * nu) + 1e-6
 
     def test_solver_counters_match_a_direct_solve(self, monkeypatch):
         # capped at 3000 so that draw 9 ends quickly
@@ -434,10 +441,10 @@ class TestControllerRecovery:
                 sigma = sdp_feasibility(A, B, nu, on_iteration=lambda it, v: seen.append(v))
             except SdpInfeasibleError:
                 with pytest.raises(SdpInfeasibleError):
-                    controller_recovery(A, B, 0.0, 3.0, 1 / 18)
+                    controller_recovery(A, B, nu)
                 continue
-            result = controller_recovery(A, B, 0.0, 3.0, 1 / 18)
-            assert result.constants.nu == nu
+            result = controller_recovery(A, B, nu)
+            assert result.norm_L <= 1 - 1 / (2 * nu)
             assert result.sdp_iterations == len(seen)
             assert result.sdp_violation == seen[-1] <= 1e-9
             assert result.sdp_affine_residual \
@@ -458,8 +465,9 @@ class TestControllerRecovery:
             B = g.normal(size=(d_x, d_u))
             B /= np.linalg.norm(B, 2)
         assert (d_x, d_u) == {5: (10, 2), 11: (8, 2)}[draw]
-        result = controller_recovery(A, B, 1e-6, 3.0, 1 / 18)
-        assert result.norm_L <= 1 - 1 / (2 * result.constants.nu)
+        nu = _nu(3.0, 1 / 18, 1e-6, d_x)
+        result = controller_recovery(A, B, nu)
+        assert result.norm_L <= 1 - 1 / (2 * nu)
         assert max(abs(np.linalg.eigvals(A + B @ result.K))) < 1.0
         assert 1000 < result.sdp_iterations < 25000
 
@@ -468,23 +476,32 @@ class TestControllerRecovery:
         # (Q A Q', Q B R') with Q, R orthogonal is the same system in other
         # coordinates: the iteration count is the same and K' = R K Q'
         A, B, nu = list(_unstable_pairs())[draw]
-        base = controller_recovery(A, B, 0.0, 3.0, 1 / 18)
+        base = controller_recovery(A, B, nu)
         assert base.sdp_iterations > 1000
         g = np.random.default_rng(draw)
         for _ in range(3):
             Q = np.linalg.qr(g.normal(size=A.shape))[0]
             R = np.linalg.qr(g.normal(size=(B.shape[1],) * 2))[0]
-            moved = controller_recovery(Q @ A @ Q.T, Q @ B @ R.T, 0.0, 3.0, 1 / 18)
+            moved = controller_recovery(Q @ A @ Q.T, Q @ B @ R.T, nu)
             assert moved.sdp_iterations == base.sdp_iterations
             expected = R @ base.K @ Q.T
             assert np.linalg.norm(moved.K - expected) \
                 <= 1e-9 * np.linalg.norm(expected)
 
     def test_nu_precondition(self):
+        # gamma' <= 2 eps kappa'^2 leaves nu no positive value
         with pytest.raises(ValueError):
             RecoveryConstants.from_existence(1.0, 0.01, 0.3, 1)
-        with pytest.raises(ValueError):
-            controller_recovery([[0.5]], [[1.0]], 0.3, 1.0, 0.01)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_nu_must_be_positive_and_finite(self, nu):
+        # nan and inf escaped as a bare LinAlgError (SVD did not converge),
+        # inf with a RuntimeWarning; a ConfigError is a ValueError too
+        with pytest.raises(ConfigError) as err:
+            controller_recovery([[1.5]], [[1.0]], nu)
+        assert err.value.path == "nu"
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            sdp_feasibility([[1.5]], [[1.0]], nu)
 
     @pytest.mark.parametrize("kappa_prime,gamma_prime,field", [
         # ||H|| ||H^-1|| >= 1, so no system is strongly stable with kappa' < 1
@@ -509,9 +526,6 @@ class TestControllerRecovery:
         # eps = -1 used to give nu = 17.95 against 6480 at eps = 0
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
             RecoveryConstants.from_existence(3.0, 0.05, eps, 2)
-        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
-            controller_recovery([[1.1, 0.2], [0.0, 0.9]], [[1.0], [0.3]], eps,
-                                3.0, 0.05)
         assert RecoveryConstants.from_existence(3.0, 0.05, 0.0, 2).nu \
             == pytest.approx(6480.0)
 
@@ -519,9 +533,10 @@ class TestControllerRecovery:
         # recovered spectral radius obeys the feasibility-implied contraction
         for _ in range(10):
             sys, K, cert = random_certified_pair(rng)
-            result = controller_recovery(sys.A, sys.B, 0.0, cert.kappa, cert.gamma)
+            nu = _nu(cert.kappa, cert.gamma, 0.0, sys.d_x)
+            result = controller_recovery(sys.A, sys.B, nu)
             rho = max(abs(np.linalg.eigvals(sys.A + sys.B @ result.K)))
-            assert rho <= 1 - 1 / (2 * result.constants.nu) + 1e-6
+            assert rho <= 1 - 1 / (2 * nu) + 1e-6
 
     def test_stability_transfer(self, rng):
         # perturbing the system by eps perturbs the witness contraction by
@@ -564,8 +579,8 @@ class TestControllerRecovery:
             plant = BlackBoxPlant(sys, SignAdversarialDisturbance(), QUAD,
                                   np.zeros(sys.d_x))
             bundle = adv_sys_id(plant, eps, 8.0 * beta, k, kappa)
-            result = controller_recovery(bundle.A_hat, bundle.B_hat, eps,
-                                         cert.kappa, cert.gamma)
+            result = controller_recovery(bundle.A_hat, bundle.B_hat,
+                                         _nu(cert.kappa, cert.gamma, eps, sys.d_x))
             margin = cert.gamma - 2 * eps * cert.kappa**2
             kappa_exact = np.sqrt(2 * cert.kappa**4 * sys.d_x / margin)
             gamma_hat = margin / (4 * sys.d_x * cert.kappa**4)
