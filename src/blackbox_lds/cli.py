@@ -7,9 +7,12 @@ Set BLACKBOX_LDS_VERBOSE=1 to log progress to stderr (logger "blackbox_lds").
 
 Subcommands: sysid | recover | pipeline | lowerbound-rand | lowerbound-det.
 Every run writes a step-level CSV (t, phase, state_norm, control_norm, cost,
-cumulative_cost) and a JSON summary with the constants used (override
-provenance included), phase costs, regret in simulation mode, certificates,
-and the seed. Identical config + seed produces byte-identical outputs.
+cumulative_cost) and a JSON summary with the constants used, phase costs,
+regret in simulation mode, certificates, and the seed. A pipeline summary's
+constants_provenance gives each constant's source: "default", "override",
+"derived-from-override", and on the certified path "certified" (kappa_tilde
+and gamma_tilde, superseding their overrides) and "derived-from-
+certificate". Identical config + seed produces byte-identical outputs.
 
 exit codes:
   0  success

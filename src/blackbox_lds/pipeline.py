@@ -5,13 +5,15 @@ costs and (in simulation mode) regret against the best DAC in hindsight.
 
 Worst-case constants are sufficient conditions and quickly leave double
 precision range, so every derived constant but eps0 and T1 accepts an
-override; overrides are recorded with provenance in the report.
+override. The report records each constant as it ran, with its provenance:
+formula, override, or the certificate phase 2 provides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,12 +34,17 @@ GPC_STACK_BUDGET = 512 * 2**20
 # the constants an override may set; eps0 and T1 are derived only
 _OVERRIDABLE = ("lam", "C", "kappa_prime", "gamma_prime", "eps", "nu",
                 "kappa_tilde", "gamma_tilde", "kappa_star", "W", "H", "eta", "T0")
+# a parent with one of these makes a formula derived-from-override (first), -certificate
+_FROM_OVERRIDE = {"override", "derived-from-override"}
+_FROM_CERTIFICATE = {"certified", "derived-from-certificate"}
 
 
 @dataclass
 class PhaseConstants:
-    """All derived quantities consumed by the three phases, with provenance
-    ("default" formula, "override", or "derived-from-override")."""
+    """All derived quantities consumed by the three phases, with provenance:
+    "default" (formula), "override", "certified" (the stability pair phase 2
+    certified, on run_pipeline's certified path), "derived-from-override"
+    or "derived-from-certificate" (a formula fed by such a value)."""
 
     k: int
     kappa: float
@@ -76,20 +83,47 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
 
     Each constant in _OVERRIDABLE accepts an override; eps0 and T1 are
     derived only. Overriding a constant reroutes everything downstream of
-    it; provenance marks each value as default, override, or
-    derived-from-override. nu, kappa~ and gamma~ are from_existence's, and
-    kappa*, W, H and eta follow (kappa~, gamma~). Raises ProbeScalingError
-    if the probe scalings are unrepresentable and no override rescues them.
-    Any other failed check (an unknown override, a constant not positive
-    and finite, eps >= 1/2, ...) raises ConfigError naming the constant.
+    it ("derived-from-override"). nu, kappa~ and gamma~ are
+    from_existence's, and kappa*, W, H and eta follow (kappa~, gamma~), or
+    the certified pair that replaces it on run_pipeline's certified path.
+    Raises ProbeScalingError if the probe scalings are unrepresentable and
+    no override rescues them. Any other failed check (an unknown override,
+    a constant not positive and finite, eps >= 1/2, ...) raises ConfigError
+    naming the constant.
     """
+    return _derive(k, kappa, beta, d_x, d_u, T, overrides, G)
+
+
+def _derive(k, kappa, beta, d_x, d_u, T, overrides, G, certified=None):
+    """derive_constants, with certified = {"kappa_tilde": ..., "gamma_tilde":
+    ...} in place of the formula and overrides of (kappa~, gamma~)."""
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(_OVERRIDABLE))
     if unknown:
         raise ConfigError(unknown[0], f"unknown constant overrides: {unknown} "
                           "(eps0 and T1 are derived only)")
-    prov = {}
-    resolve = _resolver(overrides, prov)
+    certified, prov = certified or {}, {}
+
+    def resolve(name, formula, *parents):
+        """The certified value of name if there is one, else its override,
+        else formula(), recording in prov which. A formula is "derived-from-
+        override" if a parent came from an override (directly or not), else
+        "derived-from-certificate" if one came from the certificate."""
+        if name in certified:
+            prov[name] = "certified"
+            return certified[name]
+        if name in overrides:
+            value = float(overrides[name])
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(name, f"override {name} must be positive and finite")
+            prov[name] = "override"
+            return value
+        sources = {prov[p] for p in parents}
+        prov[name] = ("derived-from-override" if sources & _FROM_OVERRIDE else
+                      "derived-from-certificate" if sources & _FROM_CERTIFICATE
+                      else "default")
+        return formula()
+
     lam = resolve("lam", lambda: 8.0 * beta)
     C = resolve("C", lambda: 3.0 * kappa**2 * k**2 * beta ** (6 * k))
     kappa_prime = resolve("kappa_prime", lambda: math.sqrt(C * d_x), "C")
@@ -117,14 +151,23 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
                           "kappa_prime", "gamma_prime")
     gamma_tilde = resolve("gamma_tilde", lambda: existence.gamma_tilde,
                           "kappa_prime", "gamma_prime")
-    phase3 = _phase3_constants(resolve, k, kappa, beta, kappa_tilde, gamma_tilde, T, G)
+    kappa_star = resolve(
+        "kappa_star", lambda: 4.0 * kappa_tilde**2 * k**2 * beta ** (2 * k) * kappa,
+        "kappa_tilde")
+    W = resolve("W", lambda: 2.0 * kappa_star / gamma_tilde,
+                "kappa_star", "gamma_tilde")
+    H = int(resolve("H", lambda: max(
+        1, math.ceil(math.log(max(kappa_star**2 * T, math.e)) / gamma_tilde)),
+        "kappa_star", "gamma_tilde"))
+    eta = resolve("eta", lambda: 1.0 / (G * W * math.sqrt(T)), "W")
     T1 = probe_horizon(k, d_u) + 1
     T0 = int(resolve("T0", lambda: math.ceil(T ** (2.0 / 3.0))))
     consts = PhaseConstants(
         k=k, kappa=float(kappa), beta=float(beta), d_x=d_x, d_u=d_u, T=T, G=G,
         lam=lam, C=C, kappa_prime=kappa_prime, gamma_prime=gamma_prime,
         eps=eps, eps0=eps0, nu=nu, kappa_tilde=kappa_tilde,
-        gamma_tilde=gamma_tilde, T1=T1, T0=T0, provenance=prov, **phase3)
+        gamma_tilde=gamma_tilde, kappa_star=kappa_star, W=W, T1=T1, H=H,
+        eta=eta, T0=T0, provenance=prov)
     for name in _OVERRIDABLE + ("eps0",):
         if getattr(consts, name) <= 0 or not math.isfinite(getattr(consts, name)):
             raise ConfigError(name,
@@ -132,56 +175,22 @@ def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
     return consts
 
 
-def _resolver(overrides: dict, prov: dict):
-    """resolve(name, formula, *parents): the override for name if there is
-    one, else formula(). Records in prov whether each value is "default",
-    "override", or "derived-from-override" (a parent was overridden or
-    derived from an override)."""
-    tainted = set()
-
-    def resolve(name, formula, *parents):
-        if name in overrides:
-            value = float(overrides[name])
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigError(name, f"override {name} must be positive and finite")
-            prov[name] = "override"
-            tainted.add(name)
-            return value
-        value = formula()
-        if any(p in tainted for p in parents):
-            prov[name] = "derived-from-override"
-            tainted.add(name)
-        else:
-            prov[name] = "default"
-        return value
-
-    return resolve
-
-
-def _phase3_constants(resolve, k, kappa, beta, kappa_s, gamma_s, T, G):
-    """kappa*, W, H and eta of phase 3 for the stability pair (kappa_s,
-    gamma_s) in force, by name, each through resolve (see _resolver)."""
-    kappa_star = resolve(
-        "kappa_star", lambda: 4.0 * kappa_s**2 * k**2 * beta ** (2 * k) * kappa,
-        "kappa_tilde")
-    W = resolve("W", lambda: 2.0 * kappa_star / gamma_s,
-                "kappa_star", "gamma_tilde")
-    H = resolve("H", lambda: max(
-        1, math.ceil(math.log(max(kappa_star**2 * T, math.e)) / gamma_s)),
-        "kappa_star", "gamma_tilde")
-    H = int(H)
-    eta = resolve("eta", lambda: 1.0 / (G * W * math.sqrt(T)), "W")
-    return {"kappa_star": kappa_star, "W": W, "H": H, "eta": eta}
+@contextmanager
+def _phase(name: str):
+    """Raise any failure inside as PhaseError(name), caused by it."""
+    try:
+        yield
+    except Exception as exc:
+        raise PhaseError(name, str(exc)) from exc
 
 
 @dataclass
 class PipelineReport:
-    constants: PhaseConstants  # kappa_star, W, H and eta as phase 3 ran them
+    constants: PhaseConstants  # every constant as the phases ran it
     prior: PriorBounds
     estimates: EstimateBundle
     gpc_model: tuple  # the (A_hat, B_hat) phase 3 ran on
     recovery: RecoveryResult
-    stability_used: dict  # kappa, gamma used for decay + phase 3, and source
     phase_costs: dict
     total_cost: float
     log: RunLog
@@ -194,6 +203,14 @@ class PipelineReport:
     regret_value: Optional[float] = None
     gpc_result: Optional[GpcResult] = None
     seed: Optional[int] = None
+
+    @property
+    def stability_used(self) -> dict:
+        """The (kappa~, gamma~) decay and phase 3 ran with, and its source."""
+        c = self.constants
+        certified = c.provenance["kappa_tilde"] == "certified"
+        return {"kappa": c.kappa_tilde, "gamma": c.gamma_tilde,
+                "source": "certified" if certified else "worst-case"}
 
 
 def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
@@ -209,12 +226,10 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     the stability pair (kappa~, gamma~). With use_certified_stability, that
     pair is instead the strong-stability certificate the SDP witness
     actually provides on the estimates (degraded by the 2 eps kappa^2
-    transfer margin for the true system), and kappa*, W, H and eta are
-    rebuilt from it; report.constants holds the rebuilt values (provenance
-    unchanged) and stability_used["source"] records the substitution.
-    Overrides of kappa_star, W, H and eta hold on either path, and the
-    constants derived from an overridden one follow it; overrides of
-    kappa~ and gamma~ are read only on the worst-case path.
+    transfer margin for the true system). It enters derive_constants'
+    resolution in place of (kappa~, gamma~), superseding their overrides,
+    and report.constants records it as "certified" and kappa*, W, H and
+    eta as "derived-from-certificate" unless an override reaches them.
 
     The comparator (hence regret) is computed only in simulation mode, by
     replaying the recorded disturbances through the true system. The decay
@@ -235,35 +250,26 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     x1 = plant.state
 
     # Phase 1: identification (rounds 1 .. T1-1 pay probing costs).
-    try:
+    with _phase("sysid"):
         bundle = adv_sys_id(plant, cst.eps, cst.lam, prior.k, prior.kappa)
-    except Exception as exc:
-        raise PhaseError("sysid", str(exc)) from exc
     x_after_sysid = plant.state
 
     # Phase 2: controller recovery (zero plant cost), then decay.
-    try:
+    with _phase("recover"):
         recovery = controller_recovery(bundle.A_hat, bundle.B_hat, cst.nu)
-    except Exception as exc:
-        raise PhaseError("recover", str(exc)) from exc
-    kappa_use, gamma_use = cst.kappa_tilde, cst.gamma_tilde
-    source = "worst-case"
+    source = "certified" if use_certified_stability else "worst-case"
     if use_certified_stability:
-        kappa_use = recovery.witness.kappa
-        gamma_use = recovery.witness.gamma - 2.0 * cst.eps * kappa_use**2
-        if gamma_use <= 0.0:
+        kappa = recovery.witness.kappa
+        gamma = recovery.witness.gamma - 2.0 * cst.eps * kappa**2
+        if gamma <= 0.0:
             raise PhaseError("recover",
                              "certified stability margin nonpositive after the "
                              "estimation-error transfer; decrease eps")
-        source = "certified"
-        # phase 3 constants follow the certified pair
-        cst = replace(cst, **_phase3_constants(
-            _resolver(dict(overrides or {}), {}), prior.k, prior.kappa,
-            prior.beta, kappa_use, gamma_use, T, G))
-    stability_used = {"kappa": kappa_use, "gamma": gamma_use, "source": source}
+        cst = _derive(prior.k, prior.kappa, prior.beta, plant.d_x, plant.d_u, T,
+                      overrides, G, {"kappa_tilde": kappa, "gamma_tilde": gamma})
 
     # decay's length is known before its first round: check the budget now
-    T2 = decay_horizon(gamma_use, float(np.linalg.norm(x_after_sysid)))
+    T2 = decay_horizon(cst.gamma_tilde, float(np.linalg.norm(x_after_sysid)))
     T3 = T - (plant.t - 1) - T2
     if T3 <= 0:
         raise PhaseError("gpc", f"decay would consume the horizon: T1-1 + T2 = "
@@ -279,43 +285,33 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
         remedy = "" if use_certified_stability else " or use certified stability"
         raise PhaseError("gpc", f"DAC horizon H={H} {why} ({source} stability "
                          f"constants); lower it with the H override{remedy}")
-    try:
-        dec = decay(plant, recovery.K, kappa_use, gamma_use)
-    except Exception as exc:
-        raise PhaseError("decay", str(exc)) from exc
+    with _phase("decay"):
+        dec = decay(plant, recovery.K, cst.kappa_tilde, cst.gamma_tilde)
 
     model = bundle.A_hat, bundle.B_hat
     if reidentify:
-        try:
+        with _phase("reidentify"):
             model = closed_loop_sys_id(plant, recovery.K, prior.k, spent, seed)
-        except Exception as exc:
-            raise PhaseError("reidentify", str(exc)) from exc
-    try:
-        gpc = gpc_run(plant, recovery.K, cst.kappa_star, gamma_use, H, cst.eta,
-                      T_gpc, *model)
-    except Exception as exc:
-        raise PhaseError("gpc", str(exc)) from exc
+    with _phase("gpc"):
+        gpc = gpc_run(plant, recovery.K, cst.kappa_star, cst.gamma_tilde, H,
+                      cst.eta, T_gpc, *model)
 
     log = plant.log if plant.simulation_mode else None
     phase_costs = dict(log.phase_costs) if log is not None else {}
     total = plant.total_cost
 
-    comparator = None
-    regret_value = None
+    comparator = regret_value = None
     if plant.simulation_mode:
-        sys_true = plant.true_system()
-        w_seq = plant.disturbance_history()
         comparator = best_dac_in_hindsight(
-            sys_true, w_seq, plant.cost_spec(), recovery.K, H, cst.kappa_star,
-            gamma_use, x1, iters=comparator_iters)
+            plant.true_system(), plant.disturbance_history(), plant.cost_spec(),
+            recovery.K, H, cst.kappa_star, cst.gamma_tilde, x1, iters=comparator_iters)
         regret_value = total - comparator.cost
 
     return PipelineReport(
         constants=cst, prior=prior, estimates=bundle, gpc_model=model,
-        recovery=recovery, stability_used=stability_used, phase_costs=phase_costs,
-        total_cost=total, log=log, decay_steps=dec.steps, gpc_steps=T_gpc,
+        recovery=recovery, phase_costs=phase_costs, total_cost=total, log=log,
+        decay_steps=dec.steps, gpc_steps=T_gpc,
         x_after_sysid_norm=float(np.linalg.norm(x_after_sysid)),
         x_after_decay_norm=float(np.linalg.norm(dec.x_final)),
         simulation_mode=plant.simulation_mode, comparator=comparator,
         regret_value=regret_value, gpc_result=gpc, seed=seed)
-

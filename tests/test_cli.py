@@ -540,6 +540,79 @@ class TestRandomPlant:
         assert err["error"]["path"] == "overrides.zeta"
 
 
+def _readme_pipeline_config():
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("Example pipeline config:\n\n```json\n", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+class TestProvenance:
+    """summary.json records each constant as the run used it, with where it
+    came from, on README's example pipeline config: on the certified path
+    the certified pair replaces (kappa~, gamma~)."""
+
+    CFG = _readme_pipeline_config()
+
+    @staticmethod
+    def _run(tmp_path, cfg):
+        out = tmp_path / "o"
+        path = _write_config(tmp_path, "cfg.json", cfg)
+        assert main(["pipeline", "--config", path, "--out", str(out)]) == 0
+        return json.loads(_read(out / "summary.json")), _read(out / "steps.csv")
+
+    @pytest.fixture(scope="class")
+    def certified(self, tmp_path_factory):
+        return self._run(tmp_path_factory.mktemp("certified"), self.CFG)
+
+    def test_certified_pair_and_its_dependents(self, certified):
+        assert self.CFG["options"] == {"use_certified_stability": True}
+        summary, _ = certified
+        constants, prov = summary["constants"], summary["constants_provenance"]
+        used = summary["stability_used"]
+        assert used["source"] == "certified"
+        assert (constants["kappa_tilde"], constants["gamma_tilde"]) == (
+            used["kappa"], used["gamma"])
+        assert prov["kappa_tilde"] == prov["gamma_tilde"] == "certified"
+        assert constants["H"] == 19
+        for name in ("kappa_star", "W", "H", "eta"):
+            assert prov[name] == "derived-from-certificate"
+
+    def test_overridden_kappa_star_taints_its_dependents(self, tmp_path):
+        summary, _ = self._run(tmp_path, _replaced(self.CFG, "overrides.kappa_star", 5))
+        constants, prov = summary["constants"], summary["constants_provenance"]
+        assert constants["kappa_star"] == 5.0 and prov["kappa_star"] == "override"
+        assert constants["W"] == 2.0 * 5.0 / summary["stability_used"]["gamma"]
+        for name in ("W", "H", "eta"):
+            assert prov[name] == "derived-from-override"
+        assert prov["kappa_tilde"] == prov["gamma_tilde"] == "certified"
+
+    def test_certificate_supersedes_a_kappa_tilde_override(self, tmp_path, certified):
+        base, base_steps = certified
+        summary, steps = self._run(tmp_path,
+                                   _replaced(self.CFG, "overrides.kappa_tilde", 7))
+        assert summary["constants"]["kappa_tilde"] == base["stability_used"]["kappa"]
+        assert summary["constants"]["kappa_tilde"] != 7.0
+        assert summary["constants_provenance"]["kappa_tilde"] == "certified"
+        assert steps == base_steps  # the override is not read
+        assert summary["constants"] == base["constants"]
+        assert summary["constants_provenance"] == base["constants_provenance"]
+
+    def test_worst_case_provenance(self, tmp_path):
+        # a small stability pair: the formula's pair gives H = 18252 > T
+        overrides = {"eps": 1e-3, "kappa_tilde": 1.0, "gamma_tilde": 0.5}
+        summary, _ = self._run(tmp_path, {**self.CFG, "overrides": overrides,
+                                          "options": {}})
+        assert summary["stability_used"] == {"kappa": 1.0, "gamma": 0.5,
+                                             "source": "worst-case"}
+        derived = "derived-from-override"
+        assert summary["constants_provenance"] == {
+            "lam": "default", "C": "default", "kappa_prime": "default",
+            "gamma_prime": "default", "eps": "override", "eps0": derived,
+            "nu": derived, "kappa_tilde": "override", "gamma_tilde": "override",
+            "kappa_star": derived, "W": derived, "H": derived, "eta": derived,
+            "T0": "default"}
+
+
 class TestLowerboundCommands:
     def test_deterministic_growth_in_json(self, tmp_path):
         cfg = _write_config(tmp_path, "cfg.json",

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from sys import getsizeof
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from blackbox_lds.errors import (
 )
 
 QUAD = CostFunction.quadratic()
+
+
+def _log_bytes(log):
+    """The bytes a RunLog holds: its float64 row buffers at full
+    capacity and its phase list's slots (the phase strings are shared)."""
+    rows = (log._x, log._u, log._w, log._cost)
+    return sum(r.data.nbytes for r in rows) + getsizeof(log.phases)
 
 
 class TestBlackBoxContract:
@@ -197,20 +205,38 @@ class TestRunLog:
         assert log.states()[0].tolist() == [1.0, 2.0]
         assert log.costs()[0] == 5.25
 
+    @staticmethod
+    def _scalar_run(rounds, plant=None):
+        plant = plant or BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
+                                       SinusoidalDisturbance(1, omega=0.2), QUAD,
+                                       [0.0])
+        u = np.zeros(1)
+        for t in range(rounds):
+            plant.apply(u, phase="gpc" if t % 2 else "decay")
+        return plant
+
     def test_a_round_keeps_at_most_64_bytes(self):
         # one uninterrupted scalar trajectory: x, u, w and c take 32 B of
-        # float64 rows and the phase an 8 B list slot, plus doubling slack
-        T = 200_000
-        plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
-                              SinusoidalDisturbance(1, omega=0.2), QUAD, [0.0])
-        u = np.zeros(1)
+        # float64 rows and the phase an 8 B list slot, plus doubling slack;
+        # where T falls against a doubling decides the slack, so T stays
+        plant = self._scalar_run(200_000)
+        assert len(plant.log) == 200_000
+        assert _log_bytes(plant.log) / 200_000 <= 64
+
+    def test_apply_keeps_nothing_outside_the_log(self):
+        # under tracemalloc, a window of rounds after a first one (which
+        # meets one-off allocations) grows the traced memory by what the
+        # log's buffers and phase list grew by, less than a byte a round;
+        # the window crosses a doubling of the row buffers
+        plant = self._scalar_run(0)
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            for t in range(T):
-                plant.apply(u, phase="gpc" if t % 2 else "decay")
-            kept = tracemalloc.get_traced_memory()[0] - before
+            for _ in range(2):
+                traced, held = tracemalloc.get_traced_memory()[0], _log_bytes(plant.log)
+                self._scalar_run(2000, plant)
+                outside = (tracemalloc.get_traced_memory()[0] - traced
+                           - (_log_bytes(plant.log) - held))
         finally:
             tracemalloc.stop()
-        assert len(plant.log) == T
-        assert kept / T <= 64
+        assert len(plant.log) == 4000
+        assert outside < 2000
