@@ -8,11 +8,13 @@ Set BLACKBOX_LDS_VERBOSE=1 to log progress to stderr (logger "blackbox_lds").
 Subcommands: sysid | recover | pipeline | lowerbound-rand | lowerbound-det.
 Every run writes a step-level CSV (t, phase, state_norm, control_norm, cost,
 cumulative_cost) and a JSON summary with the constants used, phase costs,
-regret in simulation mode, certificates, and the seed. A pipeline summary's
-constants_provenance gives each constant's source: "default", "override",
-"derived-from-override", and on the certified path "certified" (kappa_tilde
-and gamma_tilde, superseding their overrides) and "derived-from-
-certificate". Identical config + seed produces byte-identical outputs.
+regret in simulation mode, certificates, and the seed. pipeline and sysid
+set phase constants in overrides (sysid's eps too) and check only those
+their phases read. A pipeline summary's constants_provenance gives each
+constant's source: "default", "override", "derived-from-override", and on
+the certified path "certified" (kappa_tilde and gamma_tilde, superseding
+their overrides) and "derived-from-certificate". Identical config + seed
+produces byte-identical outputs.
 
 exit codes:
   0  success
@@ -55,10 +57,9 @@ from .lds import (
     SinusoidalDisturbance,
     ZeroDisturbance,
 )
-from .pipeline import derive_constants, run_pipeline
+from .pipeline import identify, run_pipeline
 from .plant import BlackBoxPlant
 from .stabilize import RecoveryConstants, controller_recovery
-from .sysid import adv_sys_id, probe_horizon
 
 log = logging.getLogger("blackbox_lds")
 
@@ -221,10 +222,8 @@ def _cost(c, d_x, d_u):
     return CostFunction.weighted_quadratic(Q, R)
 
 
-def _plant_experiment(cfg, seed, horizon=None) -> dict:
-    """pipeline's and sysid's plant, system, prior, overrides and the
-    constants run_pipeline derives from them at horizon before any round (by
-    default at the shortest horizon it accepts, T1 + 1)."""
+def _plant_experiment(cfg, seed) -> dict:
+    """pipeline's and sysid's plant, system, prior and overrides."""
     system, x1 = _system(cfg["plant"], seed)
     dist = _disturbance(cfg.get("disturbance", {"kind": "zero"}), system.d_x, seed)
     cost = _cost(cfg.get("cost", {"kind": "quadratic"}), system.d_x, system.d_u)
@@ -240,19 +239,19 @@ def _plant_experiment(cfg, seed, horizon=None) -> dict:
     _require(isinstance(overrides, dict), "overrides", "must be an object")
     for key in overrides:
         _number(overrides, f"overrides.{key}")
+    return {"plant": plant, "system": system, "prior": prior, "overrides": overrides}
+
+
+@contextlib.contextmanager
+def _constants_of(exp):
+    """A phase constant's ConfigError (raised before round 1) at overrides.
+    <name> if its override failed, else as the run's: a derived value did."""
     try:
-        constants = derive_constants(
-            prior.k, prior.kappa, prior.beta, system.d_x, system.d_u,
-            horizon or probe_horizon(prior.k, system.d_u) + 2, overrides=overrides,
-            G=plant.cost_scale)
-    except ConfigError as exc:  # a derived constant's failure is the run's
-        if exc.path not in overrides:
-            raise ValueError(exc.message) from exc
+        yield
+    except ConfigError as exc:
+        if exc.path not in exp.overrides:
+            raise ValueError(str(exc)) from exc
         raise ConfigError(f"overrides.{exc.path}", exc.message) from exc
-    except OverflowError as exc:  # float ** raises where it could give inf
-        raise ValueError(f"the phase constants overflow: {exc}") from exc
-    return {"plant": plant, "system": system, "prior": prior, "overrides": overrides,
-            "constants": constants}
 
 
 def _parse_pipeline(cfg, seed) -> dict:
@@ -264,13 +263,7 @@ def _parse_pipeline(cfg, seed) -> dict:
                  "must be true or false")
     _count(options, "options.comparator_iters", 1)
     horizon = _count(cfg, "horizon")
-    return {**_plant_experiment(cfg, seed, horizon), "horizon": horizon,
-            "options": options}
-
-
-def _parse_sysid(cfg, seed) -> dict:
-    exp = _plant_experiment(cfg, seed)
-    return {**exp, "eps": float(_number(cfg, "eps", exp["constants"].eps))}
+    return {**_plant_experiment(cfg, seed), "horizon": horizon, "options": options}
 
 
 def _parse_recover(cfg, seed) -> dict:
@@ -297,8 +290,8 @@ def _parse_lowerbound(cfg, seed) -> dict:
 _SCHEMAS = {
     "pipeline": ({"plant", "prior", "horizon"},
                  {"disturbance", "cost", "overrides", "options"}, _parse_pipeline),
-    "sysid": ({"plant", "prior"}, {"disturbance", "cost", "eps", "overrides"},
-              _parse_sysid),
+    "sysid": ({"plant", "prior"}, {"disturbance", "cost", "overrides"},
+              _plant_experiment),
     "recover": ({"A_hat", "B_hat", "eps", "kappa_prime", "gamma_prime"}, set(),
                 _parse_recover),
     "lowerbound-rand": ({"d_x"}, {"gamma", "controller"}, _parse_lowerbound),
@@ -422,8 +415,9 @@ def _comparator_fields(comparator):
 # writes steps.csv and summary.json, whose total_cost is the log's.
 
 def _run_pipeline_experiment(exp):
-    report = run_pipeline(exp.plant, exp.prior, exp.horizon,
-                          overrides=exp.overrides, seed=exp.seed, **exp.options)
+    with _constants_of(exp):
+        report = run_pipeline(exp.plant, exp.prior, exp.horizon,
+                              overrides=exp.overrides, seed=exp.seed, **exp.options)
     def error(estimate, truth):
         return float(np.linalg.norm(estimate - truth, 2))
 
@@ -459,12 +453,11 @@ def _run_pipeline_experiment(exp):
 
 
 def _run_sysid_experiment(exp):
-    plant = exp.plant
-    lam = exp.constants.lam
-    bundle = adv_sys_id(plant, exp.eps, lam, exp.prior.k, exp.prior.kappa)
-    return plant.log, {
-        "eps": exp.eps,
-        "lam": lam,
+    with _constants_of(exp):
+        bundle, cst = identify(exp.plant, exp.prior, exp.overrides)
+    return exp.plant.log, {
+        "eps": cst.eps,
+        "lam": cst.lam,
         "A_hat": bundle.A_hat,
         "B_hat": bundle.B_hat,
         "estimate_error_A": float(np.linalg.norm(bundle.A_hat - exp.system.A, 2)),

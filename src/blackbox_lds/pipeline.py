@@ -1,19 +1,20 @@
-"""End-to-end orchestration: derive every phase constant from the prior
+"""End-to-end orchestration: resolve the phase constants from the prior
 bounds (k, kappa, beta) and the horizon, run identification, controller
 recovery + decay, and online control on a live plant, then report per-phase
 costs and (in simulation mode) regret against the best DAC in hindsight.
 
 Worst-case constants are sufficient conditions and quickly leave double
 precision range, so every derived constant but eps0 and T1 accepts an
-override. The report records each constant as it ran, with its provenance:
-formula, override, or the certificate phase 2 provides.
+override, and a run checks only the constants its phases read. The report
+records each constant as it ran, with its provenance: formula, override,
+or the certificate phase 2 provides.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,140 +40,138 @@ _FROM_OVERRIDE = {"override", "derived-from-override"}
 _FROM_CERTIFICATE = {"certified", "derived-from-certificate"}
 
 
-@dataclass
 class PhaseConstants:
-    """All derived quantities consumed by the three phases, with provenance:
-    "default" (formula), "override", "certified" (the stability pair phase 2
-    certified, on run_pipeline's certified path), "derived-from-override"
-    or "derived-from-certificate" (a formula fed by such a value)."""
+    """The phase constants of one run, each resolved on its first read: the
+    certified value if certify() gave one, else the override, else its
+    formula. Overrides are checked up front, each value as it resolves: one
+    not positive and finite (an overflowing formula too) raises ConfigError
+    naming it, as eps0's formula does for an eps >= 1/2. provenance gives
+    each resolved one's source: "default", "override", "certified", or
+    "derived-from-override" / "derived-from-certificate" (fed by such a
+    value; override first)."""
 
-    k: int
-    kappa: float
-    beta: float
-    d_x: int
-    d_u: int
-    T: int
-    G: float
-    lam: float
-    C: float
-    kappa_prime: float
-    gamma_prime: float
-    eps: float
-    eps0: float
-    nu: float
-    kappa_tilde: float
-    gamma_tilde: float
-    kappa_star: float
-    W: float
-    T1: int
-    H: int
-    eta: float
-    T0: int
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, k: int, kappa: float, beta: float, d_x: int, d_u: int,
+                 T: Optional[int] = None, overrides: Optional[dict] = None,
+                 G: float = 2.0):
+        unknown = sorted(set(overrides or {}) - set(_OVERRIDABLE))
+        if unknown:
+            raise ConfigError(unknown[0], f"unknown constant overrides: {unknown} "
+                              "(eps0 and T1 are derived only)")
+        self._given = {name: (_checked(name, float(value)), "override")
+                       for name, value in (overrides or {}).items()}
+        self.k, self.kappa, self.beta = k, float(kappa), float(beta)
+        self.d_x, self.d_u, self.T, self.G = d_x, d_u, T, G
+        self.T1 = probe_horizon(k, d_u) + 1
+        self.provenance = {}
+
+        def eps0():
+            try:
+                eps0 = epsilon_zero(self.eps, d_u, k, self.lam, d_x, kappa)
+                probe_plan(k, d_u, self.lam, eps0)  # reject unrepresentable schedules
+                return eps0
+            except ProbeScalingError as exc:
+                raise ProbeScalingError("worst-case constants exceed floating "
+                                        f"range; supply eps override ({exc})")
+
+        def existence():
+            return RecoveryConstants.from_existence(self.kappa_prime,
+                                                    self.gamma_prime, self.eps, d_x)
+
+        # name: (parents, formula); a formula reads its inputs as attributes
+        self._formulas = {
+            "lam": ((), lambda: 8.0 * beta),
+            "C": ((), lambda: 3.0 * kappa**2 * k**2 * beta ** (6 * k)),
+            "kappa_prime": (("C",), lambda: math.sqrt(self.C * d_x)),
+            "gamma_prime": (("kappa_prime",),
+                            lambda: 1.0 / (2.0 * self.kappa_prime**2)),
+            "eps": (("gamma_prime", "kappa_prime"), lambda: (
+                self.gamma_prime**2 / (1e5 * d_x**2 * self.kappa_prime**8))),
+            "eps0": (("eps", "lam"), eps0),
+            "nu": (("kappa_prime", "gamma_prime", "eps"), lambda: existence().nu),
+            "kappa_tilde": (("kappa_prime", "gamma_prime"),
+                            lambda: existence().kappa_tilde),
+            "gamma_tilde": (("kappa_prime", "gamma_prime"),
+                            lambda: existence().gamma_tilde),
+            "kappa_star": (("kappa_tilde",), lambda: (
+                4.0 * self.kappa_tilde**2 * k**2 * beta ** (2 * k) * kappa)),
+            "W": (("kappa_star", "gamma_tilde"),
+                  lambda: 2.0 * self.kappa_star / self.gamma_tilde),
+            "H": (("kappa_star", "gamma_tilde"), lambda: max(1, math.ceil(
+                math.log(max(self.kappa_star**2 * T, math.e)) / self.gamma_tilde))),
+            "eta": (("W",), lambda: 1.0 / (G * self.W * math.sqrt(T))),
+            "T0": ((), lambda: math.ceil(T ** (2.0 / 3.0))),
+        }
+
+    def __getattr__(self, name):
+        """Resolve constant name on its first read; later reads find it set."""
+        if name not in self.__dict__.get("_formulas", ()):
+            raise AttributeError(name)
+        parents, formula = self._formulas[name]
+        if name in self._given:
+            value, source = self._given[name]
+        else:
+            for parent in parents:  # resolved first, for its provenance
+                getattr(self, parent)
+            sources = {self.provenance[p] for p in parents}
+            source = ("derived-from-override" if sources & _FROM_OVERRIDE else
+                      "derived-from-certificate" if sources & _FROM_CERTIFICATE
+                      else "default")
+            try:
+                value = formula()
+            except OverflowError:  # float ** raises where * would give inf
+                value = math.inf
+        value = _checked(name, value)
+        setattr(self, name, int(value) if name in ("H", "T0") else value)
+        self.provenance[name] = source
+        return getattr(self, name)
+
+    def certify(self, kappa: float, gamma: float) -> None:
+        """Give phase 2's certified stability pair as (kappa~, gamma~),
+        superseding their formula and overrides, before either is read."""
+        self._given.update(kappa_tilde=(kappa, "certified"),
+                           gamma_tilde=(gamma, "certified"))
+
+    def resolve(self, *names) -> "PhaseConstants":
+        """Read each of names, every constant of the table if none."""
+        for name in names or self._formulas:
+            getattr(self, name)
+        return self
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in
-                ("k", "kappa", "beta", "d_x", "d_u", "T", "G", "T1", "eps0")
-                + _OVERRIDABLE}
+        """Every constant, resolving for the record those no phase read; one
+        of those that fails its check reads None."""
+        record = {}
+        for name in ("k", "kappa", "beta", "d_x", "d_u", "T", "G", "T1",
+                     *self._formulas):
+            try:
+                record[name] = getattr(self, name)
+            except ConfigError:
+                record[name] = None
+        return record
+
+
+def _checked(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(name, f"must be positive and finite, got {value}")
+    return value
 
 
 def derive_constants(k: int, kappa: float, beta: float, d_x: int, d_u: int,
                      T: int, overrides: Optional[dict] = None,
                      G: float = 2.0) -> PhaseConstants:
-    """Evaluate the phase-constant formulas, honoring overrides.
-
-    Each constant in _OVERRIDABLE accepts an override; eps0 and T1 are
-    derived only. Overriding a constant reroutes everything downstream of
-    it ("derived-from-override"). nu, kappa~ and gamma~ are
-    from_existence's, and kappa*, W, H and eta follow (kappa~, gamma~), or
-    the certified pair that replaces it on run_pipeline's certified path.
-    Raises ProbeScalingError if the probe scalings are unrepresentable and
-    no override rescues them. Any other failed check (an unknown override,
-    a constant not positive and finite, eps >= 1/2, ...) raises ConfigError
-    naming the constant.
-    """
-    return _derive(k, kappa, beta, d_x, d_u, T, overrides, G)
+    """Every PhaseConstants constant, resolved and checked now, as
+    run_pipeline's worst-case path does before round 1. A probe schedule no
+    override makes representable raises ProbeScalingError."""
+    return PhaseConstants(k, kappa, beta, d_x, d_u, T, overrides, G).resolve()
 
 
-def _derive(k, kappa, beta, d_x, d_u, T, overrides, G, certified=None):
-    """derive_constants, with certified = {"kappa_tilde": ..., "gamma_tilde":
-    ...} in place of the formula and overrides of (kappa~, gamma~)."""
-    overrides = dict(overrides or {})
-    unknown = sorted(set(overrides) - set(_OVERRIDABLE))
-    if unknown:
-        raise ConfigError(unknown[0], f"unknown constant overrides: {unknown} "
-                          "(eps0 and T1 are derived only)")
-    certified, prov = certified or {}, {}
-
-    def resolve(name, formula, *parents):
-        """The certified value of name if there is one, else its override,
-        else formula(), recording in prov which. A formula is "derived-from-
-        override" if a parent came from an override (directly or not), else
-        "derived-from-certificate" if one came from the certificate."""
-        if name in certified:
-            prov[name] = "certified"
-            return certified[name]
-        if name in overrides:
-            value = float(overrides[name])
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigError(name, f"override {name} must be positive and finite")
-            prov[name] = "override"
-            return value
-        sources = {prov[p] for p in parents}
-        prov[name] = ("derived-from-override" if sources & _FROM_OVERRIDE else
-                      "derived-from-certificate" if sources & _FROM_CERTIFICATE
-                      else "default")
-        return formula()
-
-    lam = resolve("lam", lambda: 8.0 * beta)
-    C = resolve("C", lambda: 3.0 * kappa**2 * k**2 * beta ** (6 * k))
-    kappa_prime = resolve("kappa_prime", lambda: math.sqrt(C * d_x), "C")
-    gamma_prime = resolve("gamma_prime", lambda: 1.0 / (2.0 * kappa_prime**2),
-                          "kappa_prime")
-    eps = resolve("eps", lambda: gamma_prime**2 / (1e5 * d_x**2 * kappa_prime**8),
-                  "gamma_prime", "kappa_prime")
-    if eps >= 0.5:
-        raise ConfigError("eps", "accuracy parameter eps must be < 1/2")
-
-    def eps0_formula():
-        try:
-            eps0 = epsilon_zero(eps, d_u, k, lam, d_x, kappa)
-            probe_plan(k, d_u, lam, eps0)  # reject unrepresentable schedules now
-            return eps0
-        except ProbeScalingError as exc:
-            raise ProbeScalingError(
-                "worst-case constants exceed floating range; "
-                f"supply eps override ({exc})")
-
-    eps0 = resolve("eps0", eps0_formula, "eps", "lam")
-    existence = RecoveryConstants.from_existence(kappa_prime, gamma_prime, eps, d_x)
-    nu = resolve("nu", lambda: existence.nu, "kappa_prime", "gamma_prime", "eps")
-    kappa_tilde = resolve("kappa_tilde", lambda: existence.kappa_tilde,
-                          "kappa_prime", "gamma_prime")
-    gamma_tilde = resolve("gamma_tilde", lambda: existence.gamma_tilde,
-                          "kappa_prime", "gamma_prime")
-    kappa_star = resolve(
-        "kappa_star", lambda: 4.0 * kappa_tilde**2 * k**2 * beta ** (2 * k) * kappa,
-        "kappa_tilde")
-    W = resolve("W", lambda: 2.0 * kappa_star / gamma_tilde,
-                "kappa_star", "gamma_tilde")
-    H = int(resolve("H", lambda: max(
-        1, math.ceil(math.log(max(kappa_star**2 * T, math.e)) / gamma_tilde)),
-        "kappa_star", "gamma_tilde"))
-    eta = resolve("eta", lambda: 1.0 / (G * W * math.sqrt(T)), "W")
-    T1 = probe_horizon(k, d_u) + 1
-    T0 = int(resolve("T0", lambda: math.ceil(T ** (2.0 / 3.0))))
-    consts = PhaseConstants(
-        k=k, kappa=float(kappa), beta=float(beta), d_x=d_x, d_u=d_u, T=T, G=G,
-        lam=lam, C=C, kappa_prime=kappa_prime, gamma_prime=gamma_prime,
-        eps=eps, eps0=eps0, nu=nu, kappa_tilde=kappa_tilde,
-        gamma_tilde=gamma_tilde, kappa_star=kappa_star, W=W, T1=T1, H=H,
-        eta=eta, T0=T0, provenance=prov)
-    for name in _OVERRIDABLE + ("eps0",):
-        if getattr(consts, name) <= 0 or not math.isfinite(getattr(consts, name)):
-            raise ConfigError(name,
-                              f"derived constant {name} must be positive and finite")
-    return consts
+def identify(plant: BlackBoxPlant, prior: PriorBounds,
+             overrides: Optional[dict] = None) -> tuple:
+    """Phase 1 alone, resolving only the constants it reads (eps, lam and
+    eps0; no horizon): (adv_sys_id's EstimateBundle, the PhaseConstants)."""
+    cst = PhaseConstants(prior.k, prior.kappa, prior.beta, plant.d_x, plant.d_u,
+                         overrides=overrides).resolve("eps", "lam", "eps0")
+    return adv_sys_id(plant, cst.eps, cst.lam, prior.k, prior.kappa), cst
 
 
 @contextmanager
@@ -222,14 +221,17 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     """Run all three phases on the live plant.
 
     Phases observe only states and costs, and each runs on the constant
-    derive_constants resolved: the phase-2 SDP on nu, decay and phase 3 on
-    the stability pair (kappa~, gamma~). With use_certified_stability, that
-    pair is instead the strong-stability certificate the SDP witness
-    actually provides on the estimates (degraded by the 2 eps kappa^2
-    transfer margin for the true system). It enters derive_constants'
-    resolution in place of (kappa~, gamma~), superseding their overrides,
-    and report.constants records it as "certified" and kappa*, W, H and
-    eta as "derived-from-certificate" unless an override reaches them.
+    PhaseConstants resolved: the phase-2 SDP on nu, decay and phase 3 on
+    the stability pair (kappa~, gamma~). The worst-case path resolves every
+    constant before round 1 (a failed check raises ConfigError). With
+    use_certified_stability, only eps, lam, eps0 and nu are; the pair is
+    instead the strong-stability certificate the SDP witness provides on
+    the estimates (degraded by the 2 eps kappa^2 transfer margin for the
+    true system), superseding the formula and overrides of (kappa~,
+    gamma~), and kappa*, W, H and eta follow it before the first decay
+    round (a failed check raises PhaseError("gpc")). report.constants
+    records it as "certified" and kappa*, W, H and eta as
+    "derived-from-certificate" unless an override reaches them.
 
     The comparator (hence regret) is computed only in simulation mode, by
     replaying the recorded disturbances through the true system. The decay
@@ -242,9 +244,12 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
     with H first) on sysid.closed_loop_sys_id and runs GPC on its (A_hat,
     B_hat); a failure there raises PhaseError("reidentify").
     """
-    G = plant.cost_scale
-    cst = derive_constants(prior.k, prior.kappa, prior.beta, plant.d_x,
-                           plant.d_u, T, overrides=overrides, G=G)
+    cst = PhaseConstants(prior.k, prior.kappa, prior.beta, plant.d_x, plant.d_u,
+                         T, overrides, plant.cost_scale)
+    if use_certified_stability:
+        cst.resolve("eps", "lam", "eps0", "nu")  # what phases 1 and 2 read
+    else:
+        cst.resolve()  # the worst-case path: every constant, before round 1
     if T <= cst.T1:
         raise PhaseError("sysid", f"horizon T={T} must exceed T1={cst.T1}")
     x1 = plant.state
@@ -265,8 +270,9 @@ def run_pipeline(plant: BlackBoxPlant, prior: PriorBounds, T: int,
             raise PhaseError("recover",
                              "certified stability margin nonpositive after the "
                              "estimation-error transfer; decrease eps")
-        cst = _derive(prior.k, prior.kappa, prior.beta, plant.d_x, plant.d_u, T,
-                      overrides, G, {"kappa_tilde": kappa, "gamma_tilde": gamma})
+        with _phase("gpc"):
+            cst.certify(kappa, gamma)
+            cst.resolve("kappa_star", "W", "H", "eta")
 
     # decay's length is known before its first round: check the budget now
     T2 = decay_horizon(cst.gamma_tilde, float(np.linalg.norm(x_after_sysid)))

@@ -72,14 +72,11 @@ class SdpBlockMatrix:
 
 @dataclass(frozen=True)
 class RecoveryConstants:
-    """Existence parameters (kappa', gamma') for the true system, the trace
-    cap nu they induce, the guaranteed stability (kappa~, gamma~) of the
-    recovered controller on the true system, and the estimation accuracy
-    eps consumed."""
+    """The trace cap nu that existence parameters (kappa', gamma') of the
+    true system and estimation accuracy eps induce, and the guaranteed
+    stability (kappa~, gamma~) of the recovered controller on the true
+    system."""
 
-    kappa_prime: float
-    gamma_prime: float
-    eps: float
     nu: float
     kappa_tilde: float
     gamma_tilde: float
@@ -106,9 +103,7 @@ class RecoveryConstants:
         nu = 2.0 * kappa_prime**4 * d_x / margin
         kappa_tilde = 2.0 * kappa_prime**2 * math.sqrt(d_x) / math.sqrt(gamma_prime)
         gamma_tilde = gamma_prime / (16.0 * d_x * kappa_prime**4)
-        return RecoveryConstants(kappa_prime=kappa_prime, gamma_prime=gamma_prime,
-                                 eps=eps, nu=nu, kappa_tilde=kappa_tilde,
-                                 gamma_tilde=gamma_tilde)
+        return RecoveryConstants(nu, kappa_tilde, gamma_tilde)
 
 
 def _symmetrize(S):

@@ -172,7 +172,7 @@ CONFIGS = {
               "plant": {"kind": "explicit", "A": [[0.5]], "B": [[1.0]]},
               "prior": {"k": 1, "kappa": 1.0, "beta": 1.0},
               "disturbance": {"kind": "clipped_gaussian", "scale": 0.3},
-              "eps": 1e-3},
+              "overrides": {"eps": 1e-3}},
     "recover": {"experiment": "recover", "A_hat": [[1.1, 0.2], [0.0, 0.9]],
                 "B_hat": [[1.0], [0.3]], "eps": 1e-6, "kappa_prime": 3.0,
                 "gamma_prime": 0.05},
@@ -430,6 +430,8 @@ class TestRangeErrors:
         # derived only: an override would be recorded but never read
         ("pipeline", "overrides.eps0", 1e-9, 1),
         ("pipeline", "overrides.T1", 5, 1),
+        # sysid's eps is overrides.eps, as pipeline's is
+        ("sysid", "eps", 1e-3, 1),
     ])
     def test_exit_2_naming_the_field(self, tmp_path, capsys, base, path, value,
                                      trials):
@@ -785,7 +787,7 @@ class TestSysidAndRecoverCommands:
             "plant": {"kind": "explicit", "A": [[0.5]], "B": [[1.0]], "x1": [0.0]},
             "prior": {"k": 1, "kappa": 1.0, "beta": 1.0},
             "disturbance": {"kind": "sign_adversarial"},
-            "eps": 1e-3,
+            "overrides": {"eps": 1e-3},
         })
         out = tmp_path / "o"
         assert main(["sysid", "--config", cfg, "--out", str(out)]) == 0
@@ -828,6 +830,55 @@ class TestSysidAndRecoverCommands:
         assert (err["kind"], err["phase"], err["reason"]) \
             == ("runtime", phase, "certificate")
         assert not out.exists()
+
+
+# a plant whose prior makes gamma' < 2 eps kappa'^2 at eps = 1e-3: the worst-
+# case nu, kappa~ and gamma~ do not exist, and neither run reads them
+_NO_EXISTENCE = {"seed": 2, "plant": {"kind": "explicit", "A": [[0.5, 0.1], [0, 0.4]],
+                                      "B": [[1], [0.5]]},
+                 "prior": {"k": 2, "kappa": 2, "beta": 6}}
+_NO_EXISTENCE_RUNS = {
+    "sysid": {**_NO_EXISTENCE, "experiment": "sysid", "overrides": {"eps": 1e-3}},
+    "pipeline": {**_NO_EXISTENCE, "experiment": "pipeline", "horizon": 2000,
+                 "overrides": {"eps": 1e-3, "nu": 200},
+                 "options": {"use_certified_stability": True}},
+}
+
+
+class TestConstantsARunReads:
+    """A run resolves and checks only the phase constants its phases read."""
+
+    @staticmethod
+    def _summary(tmp_path, cfg):
+        out = tmp_path / cfg["experiment"]
+        assert main([cfg["experiment"], "--config",
+                     _write_config(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 0
+        return json.loads(_read(out / "summary.json"))
+
+    def test_sysid_reads_eps_lam_and_eps0_only(self, tmp_path):
+        # it exited 2 with "overrides.eps: gamma' must exceed 2 eps kappa'^2"
+        summary = self._summary(tmp_path, _NO_EXISTENCE_RUNS["sysid"])
+        assert (summary["eps"], summary["lam"]) == (1e-3, 48.0)
+        assert summary["estimate_error_A"] <= 1e-3
+        assert summary["estimate_error_B"] <= 1e-3
+
+    def test_certified_pipeline_reads_the_certified_chain(self, tmp_path):
+        summary = self._summary(tmp_path, _NO_EXISTENCE_RUNS["pipeline"])
+        used = summary["stability_used"]
+        assert used["source"] == "certified"
+        assert used["kappa"] == pytest.approx(7.04, abs=5e-3)
+        assert used["gamma"] == pytest.approx(0.237, abs=5e-4)
+        assert summary["constants"]["H"] == 155
+        assert summary["constants"]["nu"] == 200.0
+        assert summary["estimate_error_A"] <= 1e-3 and summary["gpc_steps"] > 0
+
+    @pytest.mark.parametrize("subcommand", sorted(_NO_EXISTENCE_RUNS))
+    def test_runs_without_from_existence(self, tmp_path, monkeypatch, subcommand):
+        def refuse(*args):
+            raise AssertionError("from_existence called")
+
+        monkeypatch.setattr(RecoveryConstants, "from_existence", staticmethod(refuse))
+        self._summary(tmp_path, _NO_EXISTENCE_RUNS[subcommand])
 
 
 class TestModuleEntryPoint:

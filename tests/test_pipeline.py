@@ -19,8 +19,8 @@ from blackbox_lds import (
     step,
     strong_controllability_check,
 )
-from blackbox_lds.errors import (ConfigError, NotControllableError, PhaseError,
-                                 ProbeScalingError)
+from blackbox_lds.errors import (BlackBoxControlError, ConfigError,
+                                 NotControllableError, PhaseError, ProbeScalingError)
 from blackbox_lds.pipeline import GPC_STACK_BUDGET
 from blackbox_lds.stabilize import RecoveryConstants
 from blackbox_lds.sysid import epsilon_zero, probe_plan
@@ -105,6 +105,17 @@ class TestDeriveConstants:
         with pytest.raises(ValueError, match="gamma' must exceed 2 eps kappa'"):
             derive_constants(1, 1.0, 1.0, 2, 1, 1000,
                              overrides={"eps": 0.4, "gamma_prime": 0.1})
+
+    @pytest.mark.parametrize("kappa,overrides,name", [
+        (1e200, None, "C"),  # kappa**2 overflows
+        (1.0, {"eps": 1e-3, "kappa_star": 1e200}, "H"),  # kappa*^2 T overflows
+    ])
+    def test_overflow_names_the_constant(self, kappa, overrides, name):
+        # both escaped as a bare OverflowError
+        with pytest.raises(ConfigError) as err:
+            derive_constants(1, kappa, 1.0, 1, 1, 1000, overrides=overrides)
+        assert err.value.path == name
+        assert "must be positive and finite, got inf" in err.value.message
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown constant overrides"):
@@ -508,6 +519,52 @@ class TestRunPipeline:
         assert report.constants.W == 2.0 * 5.0 / used["gamma"]
         for name in ("W", "H", "eta"):
             assert getattr(report.constants, name) == getattr(cst, name)
+
+    def test_certified_chain_failure_is_refused_before_decay(self):
+        # beta = 1e200 with C and lam overridden: phases 1 and 2 run, and
+        # kappa* = 4 kappa~^2 k^2 beta^2k kappa overflows only once the
+        # certified kappa~ enters; it used to escape as a bare OverflowError
+        # before round 1
+        def run(certified):
+            plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
+                                  SinusoidalDisturbance(1, omega=0.2), QUAD,
+                                  [0.0], seed=1)
+            with pytest.raises(BlackBoxControlError) as err:
+                run_pipeline(plant, PriorBounds(1, 1.0, 1e200), 400,
+                             overrides={"eps": 1e-3, "C": 3.0, "lam": 8.0},
+                             use_certified_stability=certified, seed=1)
+            return err.value, plant.log.phases
+
+        err, phases = run(True)
+        assert isinstance(err, PhaseError) and err.phase == "gpc"
+        assert isinstance(err.__cause__, ConfigError)
+        assert err.__cause__.path == "kappa_star"
+        assert phases == ["sysid"] * 2  # no decay round
+        # the worst-case path refuses the same constant before round 1
+        err, phases = run(False)
+        assert isinstance(err, ConfigError) and err.path == "kappa_star"
+        assert phases == []
+
+    def test_certified_path_reads_no_worst_case_stability(self, monkeypatch):
+        # with nu overridden, neither phase reads from_existence's outputs;
+        # a constant no phase read that fails (C overflows at beta = 1e60)
+        # is recorded as None
+        def refuse(*args):
+            raise AssertionError("from_existence called")
+
+        monkeypatch.setattr(RecoveryConstants, "from_existence", staticmethod(refuse))
+        plant = BlackBoxPlant(LinearSystem([[0.5]], [[1.0]]),
+                              SinusoidalDisturbance(1, omega=0.2), QUAD, [0.0],
+                              seed=1)
+        report = run_pipeline(plant, PriorBounds(1, 1.0, 1e60), 400,
+                              overrides={"eps": 1e-3, "lam": 8.0, "nu": 200.0,
+                                         "kappa_star": 5.0, "H": 10},
+                              use_certified_stability=True, seed=1)
+        record = report.constants.as_dict()
+        assert record["C"] is record["kappa_prime"] is record["gamma_prime"] is None
+        assert "C" not in report.constants.provenance
+        assert record["W"] == 2.0 * 5.0 / report.stability_used["gamma"]
+        assert report.gpc_steps > 0
 
     def test_nu_override_caps_the_recovery_sdp(self):
         def run(nu):
